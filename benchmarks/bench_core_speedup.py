@@ -16,21 +16,13 @@ plus a full-size alpha sweep, archived as ``BENCH_core_speedup.json``:
   included), the old per-call-executor semantics that archived the
   0.46× regression row.
 * ``parallel_warm`` — the same spec through an **already-warm** pool,
-  the ``--pool keep`` production path.  The fork/warmup cost is paid
-  once per sweep, not per call.
+  the production path.  The fork/warmup cost is paid once per sweep,
+  not per call.
 * ``sweep_serial`` / ``sweep_warm`` — a full (grid point × run) alpha
   sweep, serial vs streamed over the warm pool with shared-memory skill
   matrices.  This is the row the single grid point cannot provide: the
   fig05b point finishes in tens of milliseconds, so spawn cost swamps
   it; the sweep is large enough for compute to dominate.
-* the **sharded section** — one DyGroups-Star trial at n = 10⁶
-  (``REPRO_BENCH_XL=1`` adds 10⁷) through the sharded engine, reporting
-  rounds/sec and peak RSS (``resource.getrusage``) next to the
-  monolithic vectorized engine on the same population, plus an
-  out-of-core row with the order arrays spilled to a temp-mmap.  A
-  reduced-n three-way equality check (sharded ≡ vectorized ≡ scalar)
-  gates the section, and the big-n sharded trajectory is asserted
-  bit-equal to the vectorized one before any throughput is reported.
 
 Every parallel row is asserted bit-identical to its serial baseline
 before any throughput is reported.  ``efficiency`` is speedup divided
@@ -45,13 +37,11 @@ wall-clock floors, which only mean something at full size.
 from __future__ import annotations
 
 import os
-import resource
 import time
 
 import numpy as np
 
 from repro.core.dygroups import DyGroupsStar
-from repro.core.shard import SHARD_MEM_ENV
 from repro.core.vectorized import simulate_many
 from repro.experiments.parallel import WorkerPool, run_spec_parallel, sweep_outcomes_parallel
 from repro.experiments.runner import draw_skills, run_spec
@@ -91,26 +81,6 @@ POOL_EFFICIENCY_FLOOR = 0.7
 #: Engine timing repetitions (wall-clock minimum is reported).
 REPS = 2 if SMOKE else 5
 
-#: Sharded-section population: one DyGroups-Star trial per size, with
-#: ``REPRO_BENCH_XL=1`` adding a 10⁷ row to the full-size preset.
-SHARD_N = 20_000 if SMOKE else 1_000_000
-SHARD_XL = os.environ.get("REPRO_BENCH_XL", "0") == "1" and not SMOKE
-SHARD_K = 50 if SMOKE else 1_000
-SHARD_ALPHA = 2
-SHARD_COUNT = 4
-
-#: Reduced-n gate: the scalar engine joins the equality check here,
-#: where a full scalar simulation is still seconds-scale.
-SHARD_EQ_N, SHARD_EQ_K = 6_000, 60
-
-#: Sharded-over-vectorized rounds/s relative floor at n = 10⁶.  The
-#: sharded path re-partitions the population every round (cut selection
-#: + bucket gather) on top of the same per-shard stable sorts, so it
-#: trails the monolithic engine when everything fits in memory — its
-#: job is bounding memory, not winning throughput.  Sized below the
-#: band this shared single-core container produces.
-SHARD_RPS_FLOOR = 0.25
-
 SPEC = ExperimentSpec(
     n=N,
     k=K,
@@ -138,23 +108,6 @@ def _best_seconds(run, reps: int = REPS) -> float:
         run()
         seconds.append(time.perf_counter() - started)
     return min(seconds)
-
-
-def _peak_rss_kb() -> int:
-    """Peak RSS of this process in KiB (Linux ``ru_maxrss`` units).
-
-    The kernel counter is a monotone high-water mark, so the sharded
-    rows run *before* the monolithic ones at each population size —
-    otherwise the larger footprint would mask the smaller.
-    """
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-def _simulate_population(stack: np.ndarray, k: int, engine: str, shards=None):
-    return simulate_many(
-        DyGroupsStar(), stack, k=k, alpha=SHARD_ALPHA, mode=SPEC.mode,
-        rate=SPEC.rate, seeds=[SPEC.seed], engine=engine, shards=shards,
-    )
 
 
 def _assert_outcomes_equal(serial, parallel) -> None:
@@ -218,86 +171,6 @@ def bench_core_speedup(benchmark):
         for serial_point, warm_point in zip(serial_sweep, warm_sweep):
             _assert_outcomes_equal(serial_point, warm_point)
 
-    # ------------------------------------------------------------------
-    # Sharded section: million-participant rounds with bounded memory.
-    # ------------------------------------------------------------------
-    # Reduced-n gate first: all three engines on one population, where a
-    # full scalar simulation is still cheap enough to join the check.
-    eq_spec = SPEC.with_(
-        n=SHARD_EQ_N, k=SHARD_EQ_K, alpha=SHARD_ALPHA, runs=1,
-        distribution="lognormal",
-    )
-    eq_stack = np.stack([draw_skills(eq_spec, 0)])
-    eq_scalar = _simulate_population(eq_stack, SHARD_EQ_K, "scalar")
-    eq_vectorized = _simulate_population(eq_stack, SHARD_EQ_K, "vectorized")
-    eq_sharded = _simulate_population(
-        eq_stack, SHARD_EQ_K, "sharded", shards=SHARD_COUNT
-    )
-    assert eq_sharded.engine == "sharded"
-    for eq_batch in (eq_vectorized, eq_sharded):
-        assert np.array_equal(eq_scalar.final_skills, eq_batch.final_skills)
-        assert np.array_equal(eq_scalar.round_gains, eq_batch.round_gains)
-
-    sharded_rows = {}
-    for big_n in (SHARD_N, 10 * SHARD_N) if SHARD_XL else (SHARD_N,):
-        big_spec = SPEC.with_(
-            n=big_n, k=SHARD_K, alpha=SHARD_ALPHA, runs=1,
-            distribution="lognormal",
-        )
-        big_stack = np.stack([draw_skills(big_spec, 0)])
-        big_reps = 1 if big_n >= 10_000_000 else 2
-
-        def _run_sharded():
-            return _simulate_population(
-                big_stack, SHARD_K, "sharded", shards=SHARD_COUNT
-            )
-
-        sharded_batch = _run_sharded()
-        sharded_s = _best_seconds(_run_sharded, reps=big_reps)
-        sharded_rss = _peak_rss_kb()
-
-        # Out-of-core row: a 1 MB budget forces the order arrays into a
-        # temp-mmap; the trajectory must not change by a bit.
-        saved_mem = os.environ.get(SHARD_MEM_ENV)
-        os.environ[SHARD_MEM_ENV] = "1"
-        try:
-            spill_batch = _run_sharded()
-            spill_s = _best_seconds(_run_sharded, reps=1)
-        finally:
-            if saved_mem is None:
-                del os.environ[SHARD_MEM_ENV]
-            else:
-                os.environ[SHARD_MEM_ENV] = saved_mem
-        spill_rss = _peak_rss_kb()
-        assert np.array_equal(sharded_batch.final_skills, spill_batch.final_skills)
-        assert np.array_equal(sharded_batch.round_gains, spill_batch.round_gains)
-
-        big_vectorized = _simulate_population(big_stack, SHARD_K, "vectorized")
-        assert np.array_equal(
-            sharded_batch.final_skills, big_vectorized.final_skills
-        )
-        assert np.array_equal(sharded_batch.round_gains, big_vectorized.round_gains)
-        vectorized_big_s = _best_seconds(
-            lambda: _simulate_population(big_stack, SHARD_K, "vectorized"),
-            reps=big_reps,
-        )
-        vectorized_rss = _peak_rss_kb()
-
-        for tag, seconds, rss in (
-            ("sharded", sharded_s, sharded_rss),
-            ("sharded_spill", spill_s, spill_rss),
-            ("vectorized", vectorized_big_s, vectorized_rss),
-        ):
-            sharded_rows[f"{tag}_n{big_n}"] = {
-                "n": big_n,
-                "k": SHARD_K,
-                "alpha": SHARD_ALPHA,
-                "shards": SHARD_COUNT,
-                "seconds": seconds,
-                "rounds_per_second": SHARD_ALPHA / seconds,
-                "peak_rss_kb": rss,
-            }
-
     sweep_trials = len(SWEEP_ALPHAS) * RUNS
     rows = {
         "scalar": {"seconds": scalar_s, "workers": 1, "basis": "engine", "trials": RUNS},
@@ -349,27 +222,12 @@ def bench_core_speedup(benchmark):
         )
     lines += [
         "",
-        f"sharded section: dygroups-star, k={SHARD_K} alpha={SHARD_ALPHA} "
-        f"shards={SHARD_COUNT} (lognormal, 1 trial); "
-        f"equality gate at n={SHARD_EQ_N} k={SHARD_EQ_K} incl. scalar",
-        f"{'row':<24} {'n':>10} {'seconds':>10} {'rounds/s':>9} {'peak RSS':>12}",
-    ]
-    for name, stats in sharded_rows.items():
-        lines.append(
-            f"{name:<24} {stats['n']:>10d} {stats['seconds']:>10.3f} "
-            f"{stats['rounds_per_second']:>9.2f} "
-            f"{stats['peak_rss_kb'] / 1024:>9.1f} MiB"
-        )
-    lines += [
-        "",
         "engine rows time simulate_many on pre-drawn skills; parallel rows time "
         "the full spec (draws included) against a serial baseline.",
         f"warm pool vs cold fork-per-call: {cold_s / warm_s:.2f}x on one spec; "
         f"sweep over warm pool: {rows['sweep_warm']['speedup']:.2f}x serial "
         f"({rows['sweep_warm']['efficiency']:.2f} efficiency per effective core).",
         "gain fields bit-identical across scalar/vectorized/cold/warm/sweep: yes",
-        "sharded trajectories bit-identical to vectorized (and to scalar at "
-        "the reduced-n gate), spill row included: yes",
     ]
     emit(
         "core_speedup",
@@ -402,20 +260,6 @@ def bench_core_speedup(benchmark):
                 "sweep_speedup": rows["sweep_warm"]["speedup"],
                 "sweep_efficiency": rows["sweep_warm"]["efficiency"],
             },
-            # Sharded engine at population scale: value-range shards,
-            # per-round rebalancing, optional temp-mmap spill.  Rows are
-            # keyed "<engine>_n<population>"; the spill row ran with a
-            # 1 MB REPRO_SHARD_MEM_MB budget.
-            "sharded": {
-                "eq_n": SHARD_EQ_N,
-                "eq_k": SHARD_EQ_K,
-                "k": SHARD_K,
-                "alpha": SHARD_ALPHA,
-                "shard_count": SHARD_COUNT,
-                "distribution": "lognormal",
-                "rps_floor": SHARD_RPS_FLOOR,
-                "rows": sharded_rows,
-            },
         },
     )
 
@@ -431,11 +275,4 @@ def bench_core_speedup(benchmark):
         assert efficiency >= POOL_EFFICIENCY_FLOOR, (
             f"warm-pool sweep efficiency {efficiency:.2f} below the "
             f"{POOL_EFFICIENCY_FLOOR} floor ({EFFECTIVE_WORKERS} effective cores)"
-        )
-        sharded_rps = sharded_rows[f"sharded_n{SHARD_N}"]["rounds_per_second"]
-        vectorized_rps = sharded_rows[f"vectorized_n{SHARD_N}"]["rounds_per_second"]
-        ratio = sharded_rps / vectorized_rps
-        assert ratio >= SHARD_RPS_FLOOR, (
-            f"sharded engine at n={SHARD_N} runs {ratio:.2f}x the vectorized "
-            f"rounds/s, below the {SHARD_RPS_FLOOR}x floor"
         )

@@ -13,15 +13,12 @@ socket syscalls.
 Workloads:
 
 * ``replay`` — every client replays the same cohort configuration, the
-  memo's best case (exact-tier hits dominate after warmup);
+  memo's best case (hits dominate after warmup);
 * ``adaptive`` — distinct skills per cohort (all cache misses) through
   the **adaptive** scheduler: a round step is stacked into a batched
   ``propose_batch → apply_update_many`` wave only when a same-shape
   cohort is in flight at the same moment; a lone step falls through to
   the inline kernel (``serve.scheduler.step_inline_fallthrough``);
-* ``legacy`` — the same load with ``adaptive_batch=False``:
-  unconditional queue-and-batch, the semantics that archived the 0.60×
-  regression row under ``config.batched_round_step``;
 * ``inline`` — the same load with ``workers=0``, every round stepped
   through the scalar kernel on the caller thread (the before side);
 * ``inline_heavy`` / ``adaptive_heavy`` — the same pair under heavy
@@ -35,11 +32,11 @@ gate keeps waves OFF entirely — the wave's serial handoff costs double
 the per-round price there, so every step falls through to the inline
 kernel — and the honest target is *parity with inline*, which is
 exactly the win over the archived 0.60× unconditional-batching
-regression (``legacy`` still queues unconditionally, gate or no gate).
+regression.
 
 The adaptive-vs-inline pairs are the before/after of round-step
 batching, archived under ``config.batched_round_step`` (4-client tier)
-and ``config.adaptive_batching`` (both tiers + the legacy row).
+and ``config.adaptive_batching`` (both tiers).
 """
 
 from __future__ import annotations
@@ -92,7 +89,6 @@ def _run_workload(
     unique_skills: bool,
     *,
     workers: int = 4,
-    adaptive: bool = True,
     clients: int = CLIENTS,
     loops: int = LOOPS,
 ) -> dict[str, float]:
@@ -104,7 +100,7 @@ def _run_workload(
         _scheduler_counters()
     )
 
-    config = ServeConfig(workers=workers, cache_size=512, adaptive_batch=adaptive)
+    config = ServeConfig(workers=workers, cache_size=512)
     with GroupingService(config) as service:
         client = InProcessClient(service)
 
@@ -164,7 +160,6 @@ def bench_serve_throughput(benchmark):
         _run_workload, args=(False,), iterations=1, rounds=1
     )
     adaptive = _run_workload(True)
-    legacy = _run_workload(True, adaptive=False)
     inline = _run_workload(True, workers=0)
     inline_heavy = _run_workload(True, workers=0, clients=HEAVY_CLIENTS, loops=HEAVY_LOOPS)
     adaptive_heavy = _run_workload(True, clients=HEAVY_CLIENTS, loops=HEAVY_LOOPS)
@@ -172,7 +167,6 @@ def bench_serve_throughput(benchmark):
     rows = (
         ("replay", replay),
         ("adaptive", adaptive),
-        ("legacy", legacy),
         ("inline", inline),
         ("inline_heavy", inline_heavy),
         ("adaptive_heavy", adaptive_heavy),
@@ -202,9 +196,6 @@ def bench_serve_throughput(benchmark):
         f"{heavy_speedup:.2f}x at {HEAVY_CLIENTS} clients "
         f"({adaptive_heavy['step_batches']} waves, "
         f"mean {adaptive_heavy['step_batch_mean']:.2f} cohorts/wave)",
-        f"legacy unconditional batching: "
-        f"{legacy['req_per_second'] / inline['req_per_second']:.2f}x req/s "
-        f"({legacy['step_batches']} waves)",
     ]
     emit(
         "serve_throughput",
@@ -219,7 +210,6 @@ def bench_serve_throughput(benchmark):
             "k": K,
             "replay": replay,
             "adaptive": adaptive,
-            "legacy": legacy,
             "inline": inline,
             "inline_heavy": inline_heavy,
             "adaptive_heavy": adaptive_heavy,
@@ -239,9 +229,6 @@ def bench_serve_throughput(benchmark):
             "adaptive_batching": {
                 "standard_speedup": speedup,
                 "heavy_speedup": heavy_speedup,
-                "legacy_speedup": (
-                    legacy["req_per_second"] / inline["req_per_second"]
-                ),
                 "heavy_step_batches": adaptive_heavy["step_batches"],
                 "heavy_step_batch_mean": adaptive_heavy["step_batch_mean"],
             },
@@ -254,10 +241,7 @@ def bench_serve_throughput(benchmark):
     # The unique workload computes every proposal fresh.
     assert adaptive["cache_hit_rate"] < 0.1
     assert replay["requests"] == CLIENTS * LOOPS * 4
-    # Unconditional (legacy) batching must still engage under workers,
-    # and the workerless baseline must bypass the scheduler entirely.
-    assert legacy["step_batches"] > 0, "legacy scheduler should batch round steps"
-    assert legacy["inline_fallthrough"] == 0
+    # The workerless baseline must bypass the scheduler entirely.
     assert inline["step_batches"] == 0 and inline["inline_fallthrough"] == 0
     # The adaptive scheduler must answer lone steps inline; waves are
     # gated on real parallelism (min(workers, cpu_count) > 1), so the
@@ -273,15 +257,10 @@ def bench_serve_throughput(benchmark):
         )
     if os.environ.get("REPRO_BENCH_SMOKE", "0") != "1":
         # The performance contract: adaptive batching must win back the
-        # archived 0.60x regression.  Parity with inline at both tiers —
+        # archived 0.60x regression: parity with inline at both tiers —
         # the 0.8 floor absorbs closed-loop load-generator noise on a
-        # shared single-core container (run-to-run spread is +/-25%) —
-        # and a clear win over the unconditional legacy scheduler that
-        # archived the regression row.
+        # shared single-core container (run-to-run spread is +/-25%).
         assert speedup >= 0.8, f"adaptive vs inline at {CLIENTS} clients: {speedup:.2f}x"
         assert heavy_speedup >= 0.8, (
             f"adaptive vs inline at {HEAVY_CLIENTS} clients: {heavy_speedup:.2f}x"
-        )
-        assert adaptive["req_per_second"] > legacy["req_per_second"], (
-            "adaptive batching should beat unconditional legacy batching"
         )

@@ -72,9 +72,8 @@ _MP_SPAWNS = frozenset({"Process", "Pool", "get_context"})
 
 #: Warm-worker-pool entry points (DYG404): the pool forks its workers at
 #: construction / first ensure, so building or fetching one under a lock
-#: is exactly an under-lock fork.  ``sharded_orders_parallel`` reaches
-#: the pool internally, so calling it under a lock forks just the same.
-_POOL_SPAWNS = frozenset({"WorkerPool", "shared_pool", "sharded_orders_parallel"})
+#: is exactly an under-lock fork.
+_POOL_SPAWNS = frozenset({"WorkerPool", "shared_pool"})
 
 #: Module that owns the warm worker pool.
 _POOL_MODULE = "repro.experiments.parallel"

@@ -42,20 +42,16 @@ given), plus ``--contracts`` to enable the runtime invariant checks of
 docs/static-analysis.md.
 
 The spec-driven subcommands (``run``, ``sweep``, ``grid``) additionally
-accept the performance knobs ``--engine {auto,scalar,vectorized,sharded}``
-(stacked-trial vectorized simulation; ``sharded`` adds per-shard partial
-sorts with bounded memory), ``--shards N`` (shard count;
-``REPRO_SHARDS`` sets the default), ``--workers N`` (process
-parallelism; ``REPRO_WORKERS`` sets the default), and ``--pool
-{keep,per-call}`` (warm-worker-pool policy; ``REPRO_POOL`` sets the
-default) — all bit-identical to the scalar serial path; see
+accept the performance knobs ``--engine {auto,scalar,vectorized}``
+(stacked-trial vectorized simulation) and ``--workers N`` (process
+parallelism on a warm worker pool; ``REPRO_WORKERS`` sets the default)
+— both bit-identical to the scalar serial path; see
 docs/performance.md.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -265,17 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-min", type=int, default=4,
-        help="smallest same-shape backlog worth stacking into one wave "
-        "when adaptive batching is on; smaller backlogs fall through "
-        "to the inline kernel (int >= 2)",
-    )
-    serve.add_argument(
-        "--no-adaptive-batch",
-        action="store_true",
-        help="always enqueue round steps for worker batching, even with "
-        "no same-configuration backlog to stack them with (the default "
-        "adaptive mode falls through to the inline kernel in that case; "
-        "both paths are bit-identical)",
+        help="smallest same-shape backlog worth stacking into one wave; "
+        "smaller backlogs fall through to the inline kernel (int >= 2)",
     )
     serve.add_argument(
         "--slo",
@@ -403,29 +390,11 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "kernels when possible; results are bit-identical either way",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shard count for the sharded engine (per-shard partial sorts, "
-        "bounded memory); 0 defers to REPRO_SHARDS; a positive count makes "
-        "--engine auto prefer the sharded path for shardable policies; "
-        "results are bit-identical to the other engines",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
         help="process-parallel worker count; 0 defers to REPRO_WORKERS "
         "(unset means serial); results are bit-identical to serial",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("keep", "per-call"),
-        default=None,
-        help="worker-pool policy: 'keep' (default) reuses one warm pool "
-        "of forked workers across every parallel call in the process; "
-        "'per-call' spawns and tears down a pool per invocation "
-        "(defers to REPRO_POOL when unset)",
     )
 
 
@@ -444,7 +413,6 @@ def _spec_from_args(args: argparse.Namespace):
         seed=args.seed,
         engine=args.engine,
         workers=args.workers,
-        shards=args.shards,
     )
 
 
@@ -610,11 +578,6 @@ def _command_list() -> int:
     for name, caps, params in rows:
         if params:
             print(f"                 {name} params: " + ", ".join(params))
-    print(
-        "shardable:     ",
-        ", ".join(name for name, caps, _ in rows if "shardable" in caps),
-        " (eligible for --engine sharded / --shards N / REPRO_SHARDS)",
-    )
     print("distributions: ", ", ".join(sorted(DISTRIBUTIONS)))
     print("journal events:", ", ".join(EVENTS))
     print("lint rules:    ", ", ".join(code for code, *_ in rule_catalog()),
@@ -720,7 +683,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         session_ttl=args.session_ttl,
         queue_depth=args.queue_depth,
         batch_min=args.batch_min,
-        adaptive_batch=not args.no_adaptive_batch,
         slo=slo,
         matchmaking=matchmaking,
     )
@@ -921,13 +883,6 @@ def _run(args: argparse.Namespace) -> int:
         from repro.analysis import sanitizer
 
         sanitizer.enable_sanitizer()
-    if getattr(args, "pool", None):
-        from repro.experiments.parallel import POOL_ENV
-
-        # The pool policy is process-scoped configuration (like
-        # REPRO_WORKERS): setting the variable makes every parallel call
-        # this process makes — direct or nested — honor the flag.
-        os.environ[POOL_ENV] = args.pool
     observing = bool(
         getattr(args, "journal", None)
         or getattr(args, "trace", False)

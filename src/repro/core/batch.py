@@ -1,11 +1,12 @@
 """Batch-friendly propose path for the DyGroups round-local groupers.
 
-The serving layer (:mod:`repro.serve`) coalesces concurrent ``propose``
-requests into batches.  Both ``DYGROUPS-MODE-LOCAL`` groupers are pure
-functions of the *descending order* of the skill array (Algorithms 2
-and 3), so a batch of ``m`` same-shaped requests reduces to a single
-``(m, n)`` stable argsort — one vectorized numpy call instead of ``m``
-Python round trips — followed by an index gather per row.
+The serving scheduler (:mod:`repro.serve.scheduler`) stacks concurrent
+same-configuration round steps into waves.  Both ``DYGROUPS-MODE-LOCAL``
+groupers are pure functions of the *descending order* of the skill array
+(Algorithms 2 and 3), so proposing for a wave of ``m`` same-shaped
+cohorts reduces to a single ``(m, n)`` stable argsort — one vectorized
+numpy call instead of ``m`` Python round trips — followed by an index
+gather per row.
 
 The pieces, shared by the serving scheduler and the stacked-trial
 simulation engine (:mod:`repro.core.vectorized`):
@@ -14,11 +15,12 @@ simulation engine (:mod:`repro.core.vectorized`):
   (position in the descending order) rather than member indices.  For a
   fixed ``(n, k, mode)`` this structure is constant: Algorithm 2 places
   rank ``i`` as teacher ``i`` and deals the rest in contiguous blocks;
-  Algorithm 3 deals rank ``j`` to group ``j mod k``.  The grouping
-  memo (:mod:`repro.serve.cache`) replays cached structures through it.
+  Algorithm 3 deals rank ``j`` to group ``j mod k``.
 * :func:`flat_rank_listing` — the same structure flattened to one
   ``(n,)`` index array (group ``g`` occupies the contiguous slice
-  ``[g·t, (g+1)·t)``), the layout the batched update kernels consume.
+  ``[g·t, (g+1)·t)``), the layout the batched update kernels consume;
+  the grouping memo (:mod:`repro.serve.cache`) groups its misses
+  through it.
 * :func:`descending_orders` — the single stable ``(m, n)`` argsort every
   batched grouper reduces to.
 * :func:`as_skills_matrix` — validate/coerce a batch of skill vectors to
@@ -106,7 +108,7 @@ def flat_rank_listing(n: int, k: int, mode: str) -> np.ndarray:
     return _flat_rank_listing_cached(n, k, mode)
 
 
-def descending_orders(matrix: np.ndarray, *, plan=None) -> np.ndarray:
+def descending_orders(matrix: np.ndarray) -> np.ndarray:
     """Stable descending argsort of each row of a ``(m, n)`` skill matrix.
 
     This is the one vectorized call every batched DyGroups grouper reduces
@@ -120,17 +122,7 @@ def descending_orders(matrix: np.ndarray, *, plan=None) -> np.ndarray:
     is a radix sort for integer keys — same permutation, bit for bit,
     measurably faster per row.  Non-positive or non-finite input falls
     back to the float sort.
-
-    With a :class:`repro.core.shard.ShardPlan` the call delegates to
-    :func:`repro.core.shard.sharded_descending_orders`, which bounds the
-    sort working set to one skill-range shard at a time (and can spill
-    the order output out of core) while returning the identical
-    permutation bit for bit.
     """
-    if plan is not None:
-        from repro.core.shard import sharded_descending_orders
-
-        return sharded_descending_orders(matrix, plan)
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.size and np.all(matrix > 0.0):
         return np.argsort(-matrix.view(np.int64), axis=1, kind="stable")

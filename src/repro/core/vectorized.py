@@ -90,10 +90,6 @@ class VectorizedPolicy(abc.ABC):
     #: Must equal the wrapped scalar policy's ``name``.
     name: str = ""
 
-    #: Whether :meth:`propose_many_sharded` exists — true for policies
-    #: whose proposal is a pure function of the descending skill order.
-    shardable: bool = False
-
     @abc.abstractmethod
     def propose_many(
         self, skills: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
@@ -108,19 +104,6 @@ class VectorizedPolicy(abc.ABC):
                 trial's own generator, so streams stay bit-identical.
         """
 
-    def propose_many_sharded(
-        self,
-        skills: np.ndarray,
-        k: int,
-        rngs: Sequence[np.random.Generator],
-        plan,
-    ) -> np.ndarray:
-        """Sharded :meth:`propose_many` under a ``ShardPlan`` — bit-identical.
-
-        Only defined when :attr:`shardable` is true; the base raises.
-        """
-        raise ValueError(f"policy {self.name or type(self).__name__!r} has no sharded proposal")
-
     def reset(self) -> None:
         """Clear any cross-round state before a new batch of simulations."""
 
@@ -133,12 +116,8 @@ class _RankListingPolicy(VectorizedPolicy):
 
     Covers DyGroups Star/Clique (Algorithms 2 and 3) and the percentile
     baseline: the member listing over *ranks* is fixed per ``(n, k)``, so
-    a proposal is one batched argsort plus a gather — which is also what
-    makes the family ``shardable``: swap the argsort for its sharded,
-    bit-identical variant and the same gather applies.
+    a proposal is one batched argsort plus a gather.
     """
-
-    shardable = True
 
     def __init__(self, name: str, listing_for: "callable") -> None:
         self.name = name
@@ -149,18 +128,6 @@ class _RankListingPolicy(VectorizedPolicy):
     ) -> np.ndarray:
         listing = self._listing_for(skills.shape[1], k)
         return descending_orders(skills)[:, listing]
-
-    def propose_many_sharded(
-        self,
-        skills: np.ndarray,
-        k: int,
-        rngs: Sequence[np.random.Generator],
-        plan,
-    ) -> np.ndarray:
-        from repro.core.shard import sharded_descending_orders
-
-        listing = self._listing_for(skills.shape[1], k)
-        return sharded_descending_orders(skills, plan)[:, listing]
 
 
 @lru_cache(maxsize=256)
@@ -216,10 +183,6 @@ class _VectorizedStatic(VectorizedPolicy):
         self._frozen: np.ndarray | None = None
         self.name = f"static-{base.name}"
 
-    @property
-    def shardable(self) -> bool:  # type: ignore[override]
-        return self._base.shardable
-
     def reset(self) -> None:
         self._frozen = None
         self._base.reset()
@@ -229,17 +192,6 @@ class _VectorizedStatic(VectorizedPolicy):
     ) -> np.ndarray:
         if self._frozen is None:
             self._frozen = self._base.propose_many(skills, k, rngs)
-        return self._frozen
-
-    def propose_many_sharded(
-        self,
-        skills: np.ndarray,
-        k: int,
-        rngs: Sequence[np.random.Generator],
-        plan,
-    ) -> np.ndarray:
-        if self._frozen is None:
-            self._frozen = self._base.propose_many_sharded(skills, k, rngs, plan)
         return self._frozen
 
 
@@ -298,8 +250,8 @@ class BatchSimulationResult:
         mode_name: interaction mode (``"star"``/``"clique"``).
         k: number of groups per round.
         alpha: number of rounds.
-        engine: which engine produced the rows (``"vectorized"``,
-            ``"sharded"``, or ``"scalar"`` after a per-trial fallback).
+        engine: which engine produced the rows (``"vectorized"``, or
+            ``"scalar"`` after a per-trial fallback).
         initial_skills: ``(R, n)`` skills before round 1.
         final_skills: ``(R, n)`` skills after round α.
         round_gains: ``(R, α)``; ``round_gains[i, t] = LG(G_{t+1})`` of
@@ -429,7 +381,6 @@ def simulate_many(
     rate: "float | None" = None,
     seeds: "Sequence[int | None] | None" = None,
     engine: str = "auto",
-    shards: "int | None" = None,
     record_history: bool = False,
     record_timings: bool = False,
 ) -> BatchSimulationResult:
@@ -453,15 +404,9 @@ def simulate_many(
         rate: shorthand for ``gain=LinearGain(rate)``.
         seeds: per-trial RNG seeds (length ``R``); ``None`` draws OS
             entropy per trial, like scalar ``seed=None``.
-        engine: ``"auto"`` (shard when explicitly requested and possible,
-            else vectorize when the policy and mode allow, scalar
-            fallback otherwise), ``"scalar"`` (force per-trial
-            simulation), ``"vectorized"`` (raise if not vectorizable),
-            or ``"sharded"`` (raise if not shardable).
-        shards: shard count for the sharded path; ``0``/``None`` defers
-            to ``REPRO_SHARDS`` (and auto-sizes the count when forced
-            with no request).  Sharded rows are bit-identical to
-            vectorized and scalar rows.
+        engine: ``"auto"`` (vectorize when the policy and mode allow,
+            scalar fallback otherwise), ``"scalar"`` (force per-trial
+            simulation), or ``"vectorized"`` (raise if not vectorizable).
         record_history: keep the ``(R, α+1, n)`` skill trajectory.
         record_timings: fill per-round timings (also on whenever
             observability is configured).
@@ -489,9 +434,7 @@ def simulate_many(
 
     check_required_mode(policy, resolved_mode)
 
-    engine_name, vec = select_engine(
-        policy, mode=resolved_mode, gain=gain_fn, engine=engine, shards=shards
-    )
+    engine_name, vec = select_engine(policy, mode=resolved_mode, gain=gain_fn, engine=engine)
     if engine_name == "scalar":
         return _scalar_fallback(
             policy,
@@ -505,11 +448,6 @@ def simulate_many(
             record_timings=record_timings,
         )
     assert vec is not None  # select_engine pairs a batched engine with a policy
-    shard_plan = None
-    if engine_name == "sharded":
-        from repro.core.shard import ShardPlan
-
-        shard_plan = ShardPlan.from_env(shards)
 
     rngs = [np.random.default_rng(s) for s in seed_list]
     vec.reset()
@@ -522,9 +460,7 @@ def simulate_many(
     # The stacked kernel owns the round step — propose span, shape
     # validation, contract hooks, batched update, per-trial gains,
     # journal events, and metrics (see repro.engine.stacked).
-    kernel = StackedRoundKernel(
-        vec, resolved_mode, gain_fn, shard_plan=shard_plan, record_timings=record_timings
-    )
+    kernel = StackedRoundKernel(vec, resolved_mode, gain_fn, record_timings=record_timings)
     timing = kernel.timing
     batch_seconds = np.empty(alpha, dtype=np.float64) if timing else None
     journal = kernel.journal

@@ -1,4 +1,4 @@
-"""Engine selection: one place decides scalar vs vectorized vs sharded.
+"""Engine selection: one place decides scalar vs vectorized.
 
 Every driver that can run a policy on either engine — the stacked-trial
 simulator, the experiment runner, the process-parallel executor — used
@@ -11,14 +11,9 @@ user force?).  :func:`select_engine` is the single decision:
   batched counterpart;
 * the batched *update* exists for Star under any elementwise gain, and
   for Clique only under linear gains (Theorem 3's closed form);
-* a policy *shards* when its batched counterpart additionally exposes a
-  sharded proposal (``shardable`` — the rank-listing family whose
-  grouping is a pure function of the descending order);
-* the ``engine`` flag (``"auto"`` / ``"scalar"`` / ``"vectorized"`` /
-  ``"sharded"``) resolves preference vs requirement: ``auto`` falls
-  back silently (and prefers the sharded path only when shards were
-  explicitly requested via ``shards=``/``REPRO_SHARDS``), the forcing
-  flags raise when unavailable.
+* the ``engine`` flag (``"auto"`` / ``"scalar"`` / ``"vectorized"``)
+  resolves preference vs requirement: ``auto`` falls back silently,
+  ``"vectorized"`` raises when unavailable.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.gain_functions import GainFunction
 from repro.core.interactions import InteractionMode, get_mode
-from repro.core.shard import resolve_shards
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.simulation import GroupingPolicy
@@ -37,9 +31,9 @@ __all__ = ["ENGINES", "select_engine"]
 
 #: Engine selectors accepted by :func:`select_engine`,
 #: :func:`repro.core.vectorized.simulate_many`, and the experiment
-#: layer: ``"auto"`` picks the best available path, the other three
+#: layer: ``"auto"`` picks the best available path, the other two
 #: force one.
-ENGINES: tuple[str, ...] = ("auto", "scalar", "vectorized", "sharded")
+ENGINES: tuple[str, ...] = ("auto", "scalar", "vectorized")
 
 
 def select_engine(
@@ -48,7 +42,6 @@ def select_engine(
     mode: "str | InteractionMode",
     gain: GainFunction,
     engine: str = "auto",
-    shards: "int | None" = None,
 ) -> "tuple[str, VectorizedPolicy | None]":
     """Resolve which engine a ``(policy, mode, gain)`` combination runs.
 
@@ -56,19 +49,13 @@ def select_engine(
         policy: the scalar grouping policy.
         mode: interaction mode (name or instance).
         gain: the learning-gain function.
-        engine: ``"auto"`` (shard when explicitly requested and possible,
-            else vectorize when the policy and mode allow, scalar
-            otherwise), ``"scalar"`` (force the per-trial path),
-            ``"vectorized"`` (raise if not vectorizable), or
-            ``"sharded"`` (raise if not shardable).
-        shards: requested shard count for ``"auto"`` preference; ``0`` /
-            ``None`` defers to ``REPRO_SHARDS``.  Auto only prefers the
-            sharded path when the resolved count is positive — sharding
-            is bit-identical but not free at small ``n``.
+        engine: ``"auto"`` (vectorize when the policy and mode allow,
+            scalar otherwise), ``"scalar"`` (force the per-trial path),
+            or ``"vectorized"`` (raise if not vectorizable).
 
     Returns:
-        ``("sharded", vec)`` or ``("vectorized", vec)`` with the batched
-        policy, or ``("scalar", None)``.
+        ``("vectorized", vec)`` with the batched policy, or
+        ``("scalar", None)``.
 
     Raises:
         ValueError: for an unknown engine flag, or a forcing flag whose
@@ -87,23 +74,7 @@ def select_engine(
     # Clique needs Theorem 3's closed form, which only exists for linear
     # gain functions; Star vectorizes for any elementwise gain.
     updatable = resolved_mode.name == "star" or gain.is_linear
-    shardable = vec is not None and updatable and getattr(vec, "shardable", False)
-    if engine == "sharded":
-        if shardable:
-            return "sharded", vec
-        if vec is None:
-            reason = f"policy {policy.name!r} has no vectorized form"
-        elif not updatable:
-            reason = f"mode {resolved_mode.name!r} requires a linear gain function to vectorize"
-        else:
-            reason = (
-                f"policy {policy.name!r} has no sharded proposal "
-                "(its grouping is not a pure function of the descending order)"
-            )
-        raise ValueError(f"engine='sharded' is not available: {reason}")
     if vec is not None and updatable:
-        if engine == "auto" and shardable and resolve_shards(shards) > 0:
-            return "sharded", vec
         return "vectorized", vec
     if engine == "vectorized":
         reason = (

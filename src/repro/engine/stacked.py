@@ -33,7 +33,6 @@ from repro.analysis import contracts as _contracts
 from repro.core.gain_functions import GainFunction
 from repro.core.grouping import Grouping
 from repro.core.interactions import InteractionMode, get_mode
-from repro.core.shard import ShardPlan, apply_update_sharded
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
 
@@ -204,19 +203,13 @@ class StackedRoundKernel:
         mode: interaction mode (name or instance); must have a batched
             update (clique additionally requires a linear gain).
         gain_fn: the learning-gain function.
-        shard_plan: run the sharded execution path — per-shard partial
-            sorts in the proposal, group-chunked updates — under this
-            :class:`~repro.core.shard.ShardPlan`.  ``None`` keeps the
-            monolithic vectorized path.  Requires a ``shardable`` policy;
-            the outcome is bit-identical either way.
         record_timings: measure per-step wall-clock durations even when
             observability is off.
         instrument: resolve the process-global observability state; the
             serving scheduler passes ``False``.
 
     Raises:
-        ValueError: for a mode/gain combination with no batched update,
-            or a shard plan with a non-shardable policy.
+        ValueError: for a mode/gain combination with no batched update.
     """
 
     def __init__(
@@ -225,7 +218,6 @@ class StackedRoundKernel:
         mode: "str | InteractionMode",
         gain_fn: GainFunction,
         *,
-        shard_plan: "ShardPlan | None" = None,
         record_timings: bool = False,
         instrument: bool = True,
     ) -> None:
@@ -238,13 +230,6 @@ class StackedRoundKernel:
             )
         if self.mode.name not in ("star", "clique"):
             raise ValueError(f"mode {self.mode.name!r} has no batched skill update")
-        if shard_plan is not None and not getattr(vec, "shardable", False):
-            raise ValueError(
-                f"policy {vec.name or type(vec).__name__!r} has no sharded proposal; "
-                "drop the shard plan or pick a shardable policy"
-            )
-        self.shard_plan = shard_plan
-        self.engine_label = "vectorized" if shard_plan is None else "sharded"
         self.policy_label = vec.name or type(vec).__name__
         obs = _obs.state() if instrument else None
         self.journal = obs.journal if obs is not None else None
@@ -252,15 +237,11 @@ class StackedRoundKernel:
         self.timing = record_timings or obs is not None
         if self.metrics is not None:
             self._rounds_counter = self.metrics.counter("core.rounds")
-            self._engine_rounds_counter = self.metrics.counter(
-                f"core.rounds.{self.engine_label}"
-            )
+            self._engine_rounds_counter = self.metrics.counter("core.rounds.vectorized")
             self._interactions_counter = self.metrics.counter("core.interactions")
             self._proposals_counter = self.metrics.counter(f"core.proposals.{self.policy_label}")
             self._round_timer = self.metrics.timer("core.round_seconds")
-            self._engine_round_timer = self.metrics.timer(
-                f"core.round_seconds.{self.engine_label}"
-            )
+            self._engine_round_timer = self.metrics.timer("core.round_seconds.vectorized")
 
     def step(
         self,
@@ -288,14 +269,9 @@ class StackedRoundKernel:
         trials = current.shape[0]
         journal = self.journal
         if journal is not None:
-            journal.emit(
-                "round_start", round=round_index, trials=trials, engine=self.engine_label
-            )
+            journal.emit("round_start", round=round_index, trials=trials, engine="vectorized")
         with _trace.span(f"policy.propose_many:{self.policy_label}"):
-            if self.shard_plan is None:
-                members = self.vec.propose_many(current, k, rngs)
-            else:
-                members = self.vec.propose_many_sharded(current, k, rngs, self.shard_plan)
+            members = self.vec.propose_many(current, k, rngs)
         if members.shape != current.shape:
             raise ValueError(
                 f"vectorized policy {self.policy_label!r} returned a members matrix of shape "
@@ -304,13 +280,8 @@ class StackedRoundKernel:
         checking = _contracts.contracts_enabled()
         if checking:
             check_members_are_permutations(members)
-        with _trace.span(f"core.skill_update:{self.engine_label}"):
-            if self.shard_plan is None:
-                updated = apply_update_many(current, members, k, self.mode, self.gain_fn)
-            else:
-                updated = apply_update_sharded(
-                    current, members, k, self.mode, self.gain_fn, self.shard_plan
-                )
+        with _trace.span("core.skill_update:vectorized"):
+            updated = apply_update_many(current, members, k, self.mode, self.gain_fn)
         gains = np.sum(updated - current, axis=1)
         if checking:
             _contracts.check_gains_nonnegative(gains)
@@ -331,7 +302,7 @@ class StackedRoundKernel:
                 round=round_index,
                 gain=float(gains.sum()),
                 trials=trials,
-                engine=self.engine_label,
+                engine="vectorized",
             )
         return StackedStepOutcome(members=members, updated=updated, gains=gains, seconds=seconds)
 

@@ -14,21 +14,17 @@ outcomes.  This module owns that fan-out:
   and stay resident across every ``run_spec_parallel`` /
   ``sweep_outcomes_parallel`` call that borrows the pool, so sweeps after
   the first pay zero spawn cost.  Usable as a context manager, or
-  implicitly through the process-wide shared pool (:func:`shared_pool`,
-  selected by the ``keep`` pool policy — the default);
-* :func:`resolve_pool_policy` — the ``--pool`` knob (argument →
-  ``REPRO_POOL`` environment variable → ``keep``).  ``keep`` reuses the
-  shared pool across calls; ``per-call`` restores the old
-  spawn-per-invocation behaviour (useful to bound resident processes);
+  implicitly through the process-wide shared pool (:func:`shared_pool`),
+  which every call that is not handed a pool borrows;
 * :func:`run_spec_parallel` / :func:`sweep_outcomes_parallel` — the
   parallel twins of :func:`repro.experiments.runner.run_spec` and
   :func:`repro.experiments.sweep.sweep_outcomes`.  Callers normally reach
   them implicitly through ``workers=N`` on the serial entry points.
 
 Work is **streamed**, not pre-split: the unit list is cut into
-``workers × stream_factor`` contiguous chunks (``REPRO_STREAM_FACTOR``,
-default 4) that idle workers pull as they finish, so an unlucky slow
-chunk no longer serializes the whole sweep behind one worker.
+``workers × STREAM_FACTOR`` contiguous chunks that idle workers pull as
+they finish, so an unlucky slow chunk no longer serializes the whole
+sweep behind one worker.
 
 Skill arrays travel through **shared memory**, not pickles: the parent
 draws every run's initial skills (the identical
@@ -36,9 +32,9 @@ draws every run's initial skills (the identical
 makes), stacks them per grid point into
 :class:`repro.core.batch.SharedMatrix` segments, and ships only
 ``(name, shape)`` descriptors with each chunk; workers map the same
-physical pages read-only.  Platforms without shared memory (and
-``REPRO_SHM=0``) fall back to workers re-drawing their own rows —
-bit-identical either way, since both sides run the same draw.
+physical pages read-only.  Platforms without shared memory fall back
+to workers re-drawing their own rows — bit-identical either way, since
+both sides run the same draw.
 
 Determinism contract: units are ordered (grid point, run index), split
 into contiguous chunks, executed with the exact same per-run seeds and
@@ -86,18 +82,12 @@ from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
 
 __all__ = [
-    "POOL_ENV",
-    "POOL_POLICIES",
-    "SHM_ENV",
-    "STREAM_FACTOR_ENV",
     "WORKERS_ENV",
     "WorkerPool",
     "WorkerPoolError",
-    "resolve_pool_policy",
     "resolve_workers",
     "run_spec_parallel",
     "shared_pool",
-    "sharded_orders_parallel",
     "shutdown_shared_pool",
     "sweep_outcomes_parallel",
 ]
@@ -107,21 +97,9 @@ _log = logging.getLogger("repro.experiments.parallel")
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Environment variable selecting the pool policy (``keep`` / ``per-call``).
-POOL_ENV = "REPRO_POOL"
-
-#: Environment variable overriding the chunk-streaming factor.
-STREAM_FACTOR_ENV = "REPRO_STREAM_FACTOR"
-
-#: Environment variable gating shared-memory skill transfer (``0`` disables).
-SHM_ENV = "REPRO_SHM"
-
-#: Valid pool policies: reuse the process-wide warm pool, or spawn per call.
-POOL_POLICIES: tuple[str, ...] = ("keep", "per-call")
-
-#: Default oversubscription: chunks per worker slot, so idle workers can
-#: stream ahead instead of waiting on one pre-assigned slice.
-DEFAULT_STREAM_FACTOR = 4
+#: Oversubscription: chunks per worker slot, so idle workers can stream
+#: ahead instead of waiting on one pre-assigned slice.
+STREAM_FACTOR = 4
 
 
 def resolve_workers(workers: "int | None" = None) -> int:
@@ -147,45 +125,6 @@ def resolve_workers(workers: "int | None" = None) -> int:
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     return max(1, workers)
-
-
-def resolve_pool_policy(policy: "str | None" = None) -> str:
-    """Resolve the pool policy (argument → :data:`POOL_ENV` → ``keep``).
-
-    Raises:
-        ValueError: for a policy outside :data:`POOL_POLICIES`.
-    """
-    if policy is None:
-        policy = os.environ.get(POOL_ENV, "").strip() or "keep"
-    if policy not in POOL_POLICIES:
-        raise ValueError(f"pool policy must be one of {POOL_POLICIES}, got {policy!r}")
-    return policy
-
-
-def _resolve_stream_factor(stream_factor: "int | None" = None) -> int:
-    """The chunks-per-worker oversubscription factor (argument → env → 4)."""
-    if stream_factor is None:
-        raw = os.environ.get(STREAM_FACTOR_ENV, "").strip()
-        if not raw:
-            return DEFAULT_STREAM_FACTOR
-        try:
-            stream_factor = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{STREAM_FACTOR_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if isinstance(stream_factor, bool) or not isinstance(stream_factor, int) or stream_factor < 1:
-        raise ValueError(f"stream_factor must be a positive int, got {stream_factor!r}")
-    return stream_factor
-
-
-def _resolve_use_shm(use_shared_memory: "bool | None" = None) -> bool:
-    """Whether skill matrices travel via shared memory (arg → env → probe)."""
-    if use_shared_memory is None:
-        if os.environ.get(SHM_ENV, "").strip() == "0":
-            return False
-        return shared_memory_available()
-    return bool(use_shared_memory) and shared_memory_available()
 
 
 class WorkerPoolError(RuntimeError):
@@ -301,30 +240,28 @@ class WorkerPool:
 
     Not thread-safe by design: the fork must never happen under a lock
     (lint rule DYG404 enforces this for callers too), so the pool takes
-    none — one driving thread owns a pool.  Use the process-wide
-    :func:`shared_pool` for the common ``keep`` policy.
+    none — one driving thread owns a pool.  Calls that are not handed a
+    pool borrow the process-wide :func:`shared_pool`.
 
     Args:
         workers: worker-process count (``None``/0 defer to
             :data:`WORKERS_ENV`).
-        stream_factor: contiguous chunks per worker slot
-            (:data:`STREAM_FACTOR_ENV`, default 4).
         use_shared_memory: ship skill matrices via
             :class:`~repro.core.batch.SharedMatrix` descriptors instead
-            of letting workers re-draw them (``None`` probes the
-            platform; ``REPRO_SHM=0`` forces off).
+            of letting workers re-draw them.  ``None`` probes the
+            platform; ``False`` runs the re-draw fallback (tests use it
+            to cover platforms without shared memory).
     """
 
     def __init__(
         self,
         workers: "int | None" = None,
         *,
-        stream_factor: "int | None" = None,
         use_shared_memory: "bool | None" = None,
     ) -> None:
         self.workers = resolve_workers(workers)
-        self.stream_factor = _resolve_stream_factor(stream_factor)
-        self.use_shared_memory = _resolve_use_shm(use_shared_memory)
+        wanted = True if use_shared_memory is None else bool(use_shared_memory)
+        self.use_shared_memory = wanted and shared_memory_available()
         self._executor: "ProcessPoolExecutor | None" = None
         self._chunks_served = 0
         self._worker_slots: dict[int, int] = {}
@@ -465,13 +402,10 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         state = "warm" if self.started else "cold"
-        return (
-            f"WorkerPool(workers={self.workers}, {state}, "
-            f"stream_factor={self.stream_factor}, shm={self.use_shared_memory})"
-        )
+        return f"WorkerPool(workers={self.workers}, {state}, shm={self.use_shared_memory})"
 
 
-#: The process-wide warm pool the ``keep`` policy reuses across calls.
+#: The process-wide warm pool every call without a pool of its own reuses.
 _shared_pool: "WorkerPool | None" = None
 
 
@@ -519,26 +453,21 @@ def _parallel_execute(
     """Fan the (spec × run) work list out over warm worker processes.
 
     Units are ordered (spec index, run index) and split into contiguous
-    chunks — ``stream_factor`` per worker slot, at most one per unit —
-    streamed to idle workers, then merged in submission order,
+    chunks — :data:`STREAM_FACTOR` per worker slot, at most one per unit
+    — streamed to idle workers, then merged in submission order,
     reproducing the serial accumulator lists exactly.
 
-    Pool selection: an explicit ``pool`` is borrowed (and left warm);
-    otherwise the resolved pool policy picks the process-wide shared
-    pool (``keep``) or a throwaway one (``per-call``).
+    An explicit ``pool`` is borrowed (and left warm); otherwise the
+    process-wide :func:`shared_pool` is.
     """
-    owned: "WorkerPool | None" = None
     if pool is None:
-        if resolve_pool_policy() == "keep":
-            pool = shared_pool(workers)
-        else:
-            pool = owned = WorkerPool(workers)
+        pool = shared_pool(workers)
     elif pool.workers != workers:
         raise ValueError(
             f"borrowed pool has {pool.workers} workers but {workers} were requested"
         )
     units = [(si, ri) for si, spec in enumerate(specs) for ri in range(spec.runs)]
-    chunk_count = min(len(units), workers * pool.stream_factor)
+    chunk_count = min(len(units), workers * STREAM_FACTOR)
     bounds = np.array_split(np.arange(len(units)), chunk_count)
     chunks = [tuple(units[int(b[0]) : int(b[-1]) + 1]) for b in bounds if b.size]
     obs = _obs.state()
@@ -590,8 +519,6 @@ def _parallel_execute(
             if handle is not None:
                 handle.close()
                 handle.unlink()
-        if owned is not None:
-            owned.close()
     if journal is not None:
         journal.emit(
             "parallel_end",
@@ -601,115 +528,6 @@ def _parallel_execute(
     if obs is not None:
         obs.metrics.counter("experiments.parallel.chunks").inc(len(chunks))
     return merged
-
-
-def _shard_segments_chunk(
-    payload: "tuple[tuple, tuple, bool]",
-) -> "tuple[int, list[tuple[int, int, np.ndarray]]]":
-    """Stable-sort one chunk of ``(row, start, indices)`` shard units.
-
-    The worker maps the parent's :class:`SharedMatrix` read-only, gathers
-    each unit's values in the parent-supplied ascending-index order, and
-    runs the same stable descending argsort (bit-view when the whole
-    matrix is positive — the flag travels with the payload so every
-    worker matches the serial decision) the serial sharded path runs.
-    Returns the worker pid and the globally-ordered index segments.
-    """
-    meta, units, bitview = payload
-    handle = SharedMatrix.attach(meta)
-    segments: "list[tuple[int, int, np.ndarray]]" = []
-    try:
-        matrix = handle.array()
-        for row, start, idx in units:
-            vals = np.ascontiguousarray(matrix[row][idx])
-            if bitview:
-                local = np.argsort(-vals.view(np.int64), kind="stable")
-            else:
-                local = np.argsort(-vals, kind="stable")
-            segments.append((row, start, idx[local]))
-    finally:
-        handle.close()
-    return os.getpid(), segments
-
-
-def sharded_orders_parallel(
-    matrix: np.ndarray,
-    plan=None,
-    *,
-    workers: "int | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> np.ndarray:
-    """Sharded stable descending argsort with shards as pool work units.
-
-    The process-parallel twin of
-    :func:`repro.core.shard.sharded_descending_orders`: the parent picks
-    the value-range cuts and the per-shard index groups (cheap O(n)
-    passes), ships the trial matrix once through a
-    :class:`~repro.core.batch.SharedMatrix` so workers read it without
-    copies, streams ``(row, start, indices)`` shard units over the warm
-    :class:`WorkerPool`, and writes the returned segments straight into
-    the output — the same bit-identical permutation as the serial
-    sharded and monolithic sorts.
-
-    Falls back to the serial sharded path when the effective worker
-    count is 1, shared memory is unavailable, or the shared segment
-    cannot be created.  The plan's out-of-core spill applies only to the
-    serial fallback (workers return heap segments).
-    """
-    from repro.core.shard import ShardPlan, bucket_partition, shard_cuts
-    from repro.core.shard import sharded_descending_orders as _serial
-
-    plan = plan if plan is not None else ShardPlan()
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    count = resolve_workers(workers)
-    if count <= 1 or not shared_memory_available():
-        return _serial(matrix, plan)
-    try:
-        shared = SharedMatrix.create(matrix)
-    except Exception:  # pragma: no cover - platform-dependent
-        return _serial(matrix, plan)
-    trials, n = matrix.shape
-    shards = plan.shard_count(n)
-    bitview = bool(matrix.size) and bool(np.all(matrix > 0.0))
-    units: "list[tuple[int, int, np.ndarray]]" = []
-    for r in range(trials):
-        row = matrix[r]
-        cuts = shard_cuts(row, shards)
-        if cuts.size == 0:
-            units.append((r, 0, np.arange(n, dtype=np.intp)))
-            continue
-        offsets, grouped = bucket_partition(row, cuts)
-        for b in range(offsets.shape[0] - 1):
-            lo, hi = int(offsets[b]), int(offsets[b + 1])
-            if hi > lo:
-                units.append((r, lo, grouped[lo:hi]))
-    if not units:
-        shared.close()
-        shared.unlink()
-        return np.empty((trials, n), dtype=np.intp)
-    owned: "WorkerPool | None" = None
-    if pool is None:
-        if resolve_pool_policy() == "keep":
-            pool = shared_pool(count)
-        else:
-            pool = owned = WorkerPool(count)
-    orders = np.empty((trials, n), dtype=np.intp)
-    chunk_count = min(len(units), count * pool.stream_factor)
-    bounds = np.array_split(np.arange(len(units)), chunk_count)
-    chunks = [tuple(units[int(b[0]) : int(b[-1]) + 1]) for b in bounds if b.size]
-    try:
-        payloads = [(shared.meta, chunk, bitview) for chunk in chunks]
-        with _trace.span("experiments.sharded_orders", workers=count, chunks=len(chunks)):
-            for pid, segments in pool.map_chunks(_shard_segments_chunk, payloads):
-                for row, start, ordered in segments:
-                    orders[row, start : start + ordered.shape[0]] = ordered
-                pool.account_chunk(pid)
-    finally:
-        shared.close()
-        shared.unlink()
-        if owned is not None:
-            owned.close()
-    return orders
 
 
 def run_spec_parallel(

@@ -177,10 +177,9 @@ def _execute_runs(
     obs = _obs.state()
     # One engine decision per algorithm, through the same select_engine
     # every driver uses: vectorizable entries stack all runs into one
-    # simulate_many call (sharded when shards were requested); the rest
-    # run the per-run scalar loop.  Under a forcing engine flag,
-    # select_engine raises for an incapable entry — the same error
-    # simulate_many would have raised.
+    # simulate_many call; the rest run the per-run scalar loop.  Under a
+    # forcing engine flag, select_engine raises for an incapable entry —
+    # the same error simulate_many would have raised.
     scalar_algos: list[str] = []
     stacked_algos: list[str] = []
     for entry in spec.algorithms:
@@ -192,7 +191,6 @@ def _execute_runs(
             mode=spec.mode,
             gain=LinearGain(spec.rate),
             engine=spec.engine,
-            shards=spec.shards,
         )
         (scalar_algos if engine_name == "scalar" else stacked_algos).append(entry)
     if scalar_algos:
@@ -288,7 +286,6 @@ def _execute_runs_stacked(
                     rate=spec.rate,
                     seeds=seeds,
                     engine=spec.engine,
-                    shards=spec.shards,
                     record_timings=True,
                 )
         _log.debug(
@@ -343,7 +340,6 @@ def _emit_spec_start(spec: ExperimentSpec) -> None:
             runs=spec.runs,
             seed=spec.seed,
             engine=spec.engine,
-            shards=spec.shards,
         )
 
 

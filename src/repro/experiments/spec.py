@@ -63,12 +63,6 @@ class ExperimentSpec:
             defers to the ``REPRO_WORKERS`` environment variable (and
             runs serial when that is unset), ``1`` forces serial.
             Results are bit-identical to serial execution.
-        shards: shard count for the sharded engine path (per-shard
-            partial sorts with bounded memory); ``0`` defers to the
-            ``REPRO_SHARDS`` environment variable.  With
-            ``engine="auto"`` a positive resolved count makes shardable
-            algorithms run sharded; with ``engine="sharded"`` a zero
-            count auto-sizes.  Results are bit-identical across engines.
     """
 
     n: int = 10_000
@@ -83,7 +77,6 @@ class ExperimentSpec:
     lpa_max_evals: int | None = None
     engine: str = "auto"
     workers: int = 0
-    shards: int = 0
 
     def __post_init__(self) -> None:
         require_divisible_groups(self.n, self.k)
@@ -95,8 +88,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if not isinstance(self.workers, int) or isinstance(self.workers, bool) or self.workers < 0:
             raise ValueError(f"workers must be a non-negative int, got {self.workers!r}")
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool) or self.shards < 0:
-            raise ValueError(f"shards must be a non-negative int, got {self.shards!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(
                 f"unknown distribution {self.distribution!r}; expected one of {sorted(DISTRIBUTIONS)}"

@@ -134,7 +134,6 @@ def experiment_spec_to_dict(spec: ExperimentSpec) -> dict[str, Any]:
         "seed": spec.seed,
         "engine": spec.engine,
         "workers": spec.workers,
-        "shards": spec.shards,
     }
     if spec.lpa_max_evals is not None:
         payload["lpa_max_evals"] = spec.lpa_max_evals
@@ -145,8 +144,10 @@ def experiment_spec_from_dict(payload: dict[str, Any]) -> ExperimentSpec:
     """Inverse of :func:`experiment_spec_to_dict`.
 
     Also reads the old on-disk form: plain algorithm names (no spec
-    params) and an always-present, possibly ``null`` ``lpa_max_evals``
-    key.  Missing keys fall back to the spec defaults.
+    params), an always-present, possibly ``null`` ``lpa_max_evals`` key,
+    and the partition-count key of a removed engine path, which is
+    dropped: that path's results were bit-identical to the vectorized
+    engine's.  Missing keys fall back to the spec defaults.
 
     Raises:
         ValueError: if the stored configuration is invalid (unknown
@@ -154,11 +155,12 @@ def experiment_spec_from_dict(payload: dict[str, Any]) -> ExperimentSpec:
     """
     fields = dict(payload)
     fields.pop("format", None)
+    fields.pop("shards", None)
     if "algorithms" in fields:
         fields["algorithms"] = tuple(fields["algorithms"])
     known = {
         "n", "k", "alpha", "rate", "mode", "distribution",
-        "algorithms", "runs", "seed", "lpa_max_evals", "engine", "workers", "shards",
+        "algorithms", "runs", "seed", "lpa_max_evals", "engine", "workers",
     }
     unknown = sorted(set(fields) - known)
     if unknown:

@@ -52,7 +52,6 @@ EVENTS: tuple[str, ...] = (
     "propose",
     "gain",
     "skill_update",
-    "shard_plan",
     "spec_start",
     "spec_end",
     "sweep_point",

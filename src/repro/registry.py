@@ -61,7 +61,6 @@ __all__ = [
 #: The capability flags a policy can declare, in display order.
 CAPABILITIES: tuple[str, ...] = (
     "vectorizable",
-    "shardable",
     "stateful",
     "objective_aware",
     "extension",
@@ -135,11 +134,6 @@ class RegisteredPolicy:
         params: the declared typed parameters.
         vectorizable: a batched form exists — serve / ``simulate_many``
             trajectories are pinned bit-identical to scalar ``simulate``.
-        shardable: the batched form additionally runs under a
-            :class:`~repro.core.shard.ShardPlan` (per-shard partial
-            sorts, bounded memory) — true for the rank-listing family
-            whose proposal is a pure function of the descending order,
-            pinned bit-identical to the other engines.
         stateful: carries cross-round state that :meth:`GroupingPolicy.reset`
             must clear.
         objective_aware: scores candidate groupings internally and
@@ -157,7 +151,6 @@ class RegisteredPolicy:
     factory: Callable[[str, float, dict], GroupingPolicy]
     params: tuple[ParamSpec, ...] = ()
     vectorizable: bool = False
-    shardable: bool = False
     stateful: bool = False
     objective_aware: bool = False
     extension: bool = False
@@ -299,7 +292,6 @@ def _register_all() -> None:
         builds=(DyGroupsStar, DyGroupsClique),
         factory=lambda mode, rate, params: dygroups_policy(mode),
         vectorizable=True,
-        shardable=True,
     ))
     _register(RegisteredPolicy(
         name="dygroups-star",
@@ -307,7 +299,6 @@ def _register_all() -> None:
         builds=(DyGroupsStar,),
         factory=lambda mode, rate, params: DyGroupsStar(),
         vectorizable=True,
-        shardable=True,
     ))
     _register(RegisteredPolicy(
         name="dygroups-clique",
@@ -315,7 +306,6 @@ def _register_all() -> None:
         builds=(DyGroupsClique,),
         factory=lambda mode, rate, params: DyGroupsClique(),
         vectorizable=True,
-        shardable=True,
     ))
     _register(RegisteredPolicy(
         name="random",
@@ -337,7 +327,6 @@ def _register_all() -> None:
         factory=lambda mode, rate, params: PercentilePartitions(params.get("p", 0.75)),
         params=(ParamSpec("p", "float", 0.75, "skill-percentile split point"),),
         vectorizable=True,
-        shardable=True,
     ))
     _register(RegisteredPolicy(
         name="lpa",
@@ -376,7 +365,6 @@ def _register_all() -> None:
         builds=(StaticPolicy,),
         factory=lambda mode, rate, params: StaticPolicy(dygroups_policy(mode)),
         vectorizable=True,
-        shardable=True,
         stateful=True,
     ))
     _register(RegisteredPolicy(
@@ -400,7 +388,6 @@ def _register_all() -> None:
         builds=(FairnessAwarePolicy,),
         factory=lambda mode, rate, params: FairnessAwarePolicy(),
         vectorizable=True,
-        shardable=True,
         extension=True,
         vectorizer=_fair_star_vectorizer,
     ))

@@ -4,8 +4,9 @@ Serves the reproduction's DyGroups engine as a long-running service:
 
 * :mod:`repro.serve.sessions` — in-memory cohort store with TTL eviction;
 * :mod:`repro.serve.cache` — content-addressed grouping memo (LRU);
-* :mod:`repro.serve.scheduler` — micro-batching propose executor with
-  bounded queues and explicit backpressure;
+* :mod:`repro.serve.scheduler` — round-step executor stacking
+  same-configuration cohorts into waves, with bounded queues and
+  explicit backpressure;
 * :mod:`repro.serve.http` — stdlib JSON API (``dygroups serve``);
 * :mod:`repro.serve.client` — in-process and urllib clients;
 * :mod:`repro.serve.errors` — typed failures with HTTP statuses.

@@ -1,31 +1,20 @@
 """Content-addressed grouping memo with LRU bounds.
 
-The DyGroups-Local groupers depend only on the *rank order* of the skill
-array (Algorithms 2 and 3), so two cohorts whose skill values are the
-same multiset get the same grouping *structure* — only the member labels
-differ, and those follow from each query's own descending order.  The
-memo exploits this:
-
-* the **canonical key** is a BLAKE2b digest of ``(mode, k, n)`` plus the
-  descending-sorted skill values — a content address of the multiset;
-* the stored value is the finished :class:`~repro.core.grouping.Grouping`
-  together with a digest of the raw (unsorted) array it was built from.
-
-Lookups take two tiers:
-
-1. **exact tier** — the query's raw bytes match a stored raw digest (the
-   common case: replayed trajectories are bitwise equal), so the cached
-   immutable ``Grouping`` is returned with no sort and no ``Grouping``
-   construction — one hash and one dict probe;
-2. **rank tier** — same multiset, different permutation: the grouping is
-   re-labeled through the query's own stable argsort via
-   :func:`repro.core.batch.flat_rank_listing`, which reproduces the
-   scalar grouper bit for bit (property-tested in
-   ``tests/properties/test_serve_properties.py``).
+Served trajectories replay: a cohort advanced from a known state, or
+two cohorts created from the same payload, present bitwise-equal skill
+arrays to the DyGroups-Local groupers (Algorithms 2 and 3).  The memo
+keys each finished :class:`~repro.core.grouping.Grouping` by a BLAKE2b
+digest of ``(mode, k, n)`` plus the raw skill bytes, so a replayed
+array is answered with one hash and one dict probe — no sort and no
+``Grouping`` construction.  Any other array is a miss: it is grouped
+through its own stable descending argsort and
+:func:`repro.core.batch.flat_rank_listing`, which reproduces the scalar
+grouper bit for bit (property-tested in
+``tests/properties/test_serve_properties.py``), and stored.
 
 :meth:`GroupingCache.propose_batch` is the scheduler's entry point: it
-answers exact-tier hits up front and vectorizes every remaining row into
-one ``(m, n)`` argsort.
+answers hits up front and vectorizes every remaining row into one
+``(m, n)`` argsort.
 
 Hit/miss/eviction counters are exported through the process-global
 :mod:`repro.obs.metrics` registry under ``serve.cache.*``; the memo is
@@ -46,16 +35,6 @@ from repro.core.grouping import Grouping
 from repro.obs import runtime as _obs
 
 __all__ = ["GroupingCache"]
-
-
-class _Entry:
-    """One memoized grouping plus the raw-array digest it was built from."""
-
-    __slots__ = ("raw_digest", "grouping")
-
-    def __init__(self, raw_digest: bytes, grouping: Grouping) -> None:
-        self.raw_digest = raw_digest
-        self.grouping = grouping
 
 
 def _digest(*parts: bytes) -> bytes:
@@ -79,19 +58,16 @@ class GroupingCache:
             raise ValueError(f"max_entries must be a positive int, got {max_entries!r}")
         self.max_entries = max_entries
         self._lock = _sanitize.lock("serve.cache")
-        #: canonical (multiset) key → entry, in LRU order.
-        self._entries: "OrderedDict[bytes, _Entry]" = OrderedDict()
-        #: raw-array digest → canonical key (the exact-tier index).
-        self._raw_index: dict[bytes, bytes] = {}
+        #: raw-array digest → grouping, in LRU order.
+        self._entries: "OrderedDict[bytes, Grouping]" = OrderedDict()
         registry = _obs.metrics_registry()
         # Registry counters are process-global (every cache in the process
         # shares the serve.cache.* series exported via /metrics); the
         # instance-local ints back stats(), which must describe THIS memo.
         self._hits = registry.counter("serve.cache.hits")
-        self._hits_exact = registry.counter("serve.cache.hits_exact")
         self._misses = registry.counter("serve.cache.misses")
         self._evictions = registry.counter("serve.cache.evictions")
-        self._local = {"hits": 0, "hits_exact": 0, "misses": 0, "evictions": 0}
+        self._local = {"hits": 0, "misses": 0, "evictions": 0}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -102,8 +78,7 @@ class GroupingCache:
         """The memoized DyGroups-Local grouping of ``skills`` into ``k``.
 
         Bit-identical to ``dygroups_star_local`` / ``dygroups_clique_local``
-        on the same inputs, whether served cold, from the exact tier, or
-        re-labeled from the rank tier.
+        on the same inputs, whether served cold or from the memo.
 
         Args:
             skills: 1-D positive ``float64`` skill array (validated by the
@@ -113,95 +88,65 @@ class GroupingCache:
             mode: ``"star"`` or ``"clique"``.
         """
         array = np.ascontiguousarray(skills, dtype=np.float64)
-        header = f"{mode}|{k}|{array.size}|".encode()
-        raw_digest = _digest(header, array.tobytes())
-        hit = self._probe_exact(raw_digest)
+        key = _digest(f"{mode}|{k}|{array.size}|".encode(), array.tobytes())
+        hit = self._probe(key)
         if hit is not None:
             return hit
-        # The canonical (multiset) key needs the descending order — which
-        # doubles as the re-labeling map, so the sort is never wasted: hit
-        # or miss, it builds the grouping.
-        order = np.argsort(-array, kind="stable")
-        return self._settle(array, order, k, mode, header, raw_digest)
+        return self._settle(np.argsort(-array, kind="stable"), k, mode, key)
 
     def propose_batch(
         self, arrays: Sequence[np.ndarray], k: int, mode: str
     ) -> list[Grouping]:
         """Memoized groupings for a batch of same-length skill vectors.
 
-        Exact-tier hits are answered without sorting; all remaining rows
-        share a single vectorized ``(m, n)`` argsort before being settled
+        Hits are answered without sorting; all remaining rows share a
+        single vectorized ``(m, n)`` argsort before being settled
         (counted and stored) individually.
         """
         results: "list[Grouping | None]" = [None] * len(arrays)
-        pending: list[tuple[int, np.ndarray, bytes, bytes]] = []
+        pending: list[tuple[int, np.ndarray, bytes]] = []
         for i, skills in enumerate(arrays):
             array = np.ascontiguousarray(skills, dtype=np.float64)
-            header = f"{mode}|{k}|{array.size}|".encode()
-            raw_digest = _digest(header, array.tobytes())
-            hit = self._probe_exact(raw_digest)
+            key = _digest(f"{mode}|{k}|{array.size}|".encode(), array.tobytes())
+            hit = self._probe(key)
             if hit is not None:
                 results[i] = hit
             else:
-                pending.append((i, array, header, raw_digest))
+                pending.append((i, array, key))
         if pending:
-            matrix = np.stack([array for _, array, _, _ in pending])
+            matrix = np.stack([array for _, array, _ in pending])
             orders = np.argsort(-matrix, axis=1, kind="stable")
-            for (i, array, header, raw_digest), order in zip(pending, orders):
-                results[i] = self._settle(array, order, k, mode, header, raw_digest)
+            for (i, _, key), order in zip(pending, orders):
+                results[i] = self._settle(order, k, mode, key)
         return results  # type: ignore[return-value]  # every slot is filled above
 
     # -- internals ---------------------------------------------------------
 
-    def _probe_exact(self, raw_digest: bytes) -> "Grouping | None":
-        """Exact-tier probe; counts a hit, never a miss (caller settles)."""
+    def _probe(self, key: bytes) -> "Grouping | None":
+        """Counts a hit, never a miss (the caller settles a miss)."""
         with self._lock:
-            canonical_key = self._raw_index.get(raw_digest)
-            if canonical_key is None:
+            grouping = self._entries.get(key)
+            if grouping is None:
                 return None
-            entry = self._entries[canonical_key]
-            self._entries.move_to_end(canonical_key)
+            self._entries.move_to_end(key)
             self._hits.inc()
-            self._hits_exact.inc()
             self._local["hits"] += 1
-            self._local["hits_exact"] += 1
-            return entry.grouping
+            return grouping
 
-    def _settle(
-        self,
-        array: np.ndarray,
-        order: np.ndarray,
-        k: int,
-        mode: str,
-        header: bytes,
-        raw_digest: bytes,
-    ) -> Grouping:
-        """Build the grouping from ``order``, count rank-hit/miss, store."""
-        canonical_key = _digest(header, array[order].tobytes())
-        listing = flat_rank_listing(array.size, k, mode)
+    def _settle(self, order: np.ndarray, k: int, mode: str, key: bytes) -> Grouping:
+        """Build the grouping of a miss from its descending ``order``, count it, store it."""
+        n = order.size
+        listing = flat_rank_listing(n, k, mode)
         # order[listing] is a permutation of 0..n-1, so the trusted
         # constructor can skip the partition checks (hot on every miss).
-        grouping = Grouping.from_members(
-            order[listing].reshape(k, array.size // k)
-        )
+        grouping = Grouping.from_members(order[listing].reshape(k, n // k))
         with self._lock:
-            previous = self._entries.get(canonical_key)
-            if previous is not None:
-                # Rank-tier hit: same multiset, new permutation.  Re-index
-                # the exact tier to the newest raw form so replays of
-                # *this* cohort hit it next time.
-                self._hits.inc()
-                self._local["hits"] += 1
-                self._raw_index.pop(previous.raw_digest, None)
-            else:
-                self._misses.inc()
-                self._local["misses"] += 1
-            self._entries[canonical_key] = _Entry(raw_digest, grouping)
-            self._entries.move_to_end(canonical_key)
-            self._raw_index[raw_digest] = canonical_key
+            self._misses.inc()
+            self._local["misses"] += 1
+            self._entries[key] = grouping
+            self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._raw_index.pop(evicted.raw_digest, None)
+                self._entries.popitem(last=False)
                 self._evictions.inc()
                 self._local["evictions"] += 1
         return grouping
@@ -221,7 +166,6 @@ class GroupingCache:
         """Drop every entry (counters are left running)."""
         with self._lock:
             self._entries.clear()
-            self._raw_index.clear()
 
     def __repr__(self) -> str:
         return f"GroupingCache(entries={len(self._entries)}, max_entries={self.max_entries})"

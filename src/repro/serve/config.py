@@ -42,19 +42,13 @@ class ServeConfig:
         max_cohorts: upper bound on live cohorts (admission control).
         queue_depth: bound of the scheduler's request queue — submissions
             beyond it are rejected with ``429 scheduler_saturated``.
-        batch_max: most propose requests coalesced into one batch.
-        batch_min: smallest same-shape backlog worth stacking when
-            ``adaptive_batch`` is on.  Below it the wave's fixed costs
+        batch_max: most round-step requests drained into one batch.
+        batch_min: smallest same-``(n, k, mode, rate)`` backlog worth
+            stacking into one wave.  Below it the wave's fixed costs
             (queue round trip, stack/unstack, waking waiters) outweigh
-            the vectorization win, so the step falls through inline.
-            Must be an int ``>= 2``; ignored when ``adaptive_batch`` is
-            off.
-        adaptive_batch: batch a round step only when a same-``(n, k,
-            mode, rate)`` backlog exists; fall through to the inline
-            kernel otherwise (both paths are bit-identical, so this is
-            purely a latency/throughput knob).  ``False`` restores
-            unconditional enqueueing — every step waits for a worker
-            drain even with nothing to stack it with.
+            the vectorization win, so the step falls through to the
+            inline kernel (both paths are bit-identical).  Must be an
+            int ``>= 2``.
         request_timeout: seconds a request waits on the scheduler before
             giving up.
         slo: optional SLO target mapping (the fields of
@@ -83,7 +77,6 @@ class ServeConfig:
     queue_depth: int = 256
     batch_max: int = 32
     batch_min: int = 4
-    adaptive_batch: bool = True
     request_timeout: float = 30.0
     slo: "Mapping[str, float] | None" = None
     matchmaking: "Mapping[str, Any] | None" = None
@@ -104,8 +97,6 @@ class ServeConfig:
         require_positive_int(self.batch_max, name="batch_max")
         if not isinstance(self.batch_min, int) or isinstance(self.batch_min, bool) or self.batch_min < 2:
             raise ValueError(f"batch_min must be an int >= 2, got {self.batch_min!r}")
-        if not isinstance(self.adaptive_batch, bool):
-            raise ValueError(f"adaptive_batch must be a bool, got {self.adaptive_batch!r}")
         if not self.host or not isinstance(self.host, str):
             raise ValueError(f"host must be a non-empty string, got {self.host!r}")
         if self.slo is not None and not isinstance(self.slo, Mapping):

@@ -68,7 +68,7 @@ class SessionExpired(ServeError):
 
 
 class SchedulerSaturated(ServeError):
-    """The propose queue is full — backpressure, retry later."""
+    """The round-step queue is full — backpressure, retry later."""
 
     status = 429
     code = "scheduler_saturated"
@@ -82,7 +82,7 @@ class CapacityExhausted(ServeError):
 
 
 class RequestTimeout(ServeError):
-    """A queued propose request did not complete within the deadline."""
+    """A queued round-step request did not complete within the deadline."""
 
     status = 504
     code = "request_timeout"

@@ -1,17 +1,17 @@
-"""Micro-batching round-step executor with bounded queues and backpressure.
+"""Round-step executor: adaptive step waves with bounded queues and backpressure.
 
-Concurrent ``propose`` requests for the deterministic DyGroups groupers
-are pure functions of ``(skills, k, mode)`` — no generator state — so
-they can be coalesced: a worker drains up to ``batch_max`` queued
-requests, groups them by ``(n, k, mode)``, and answers each group with
-one vectorized :func:`repro.core.batch.propose_batch` call (a single
-``(m, n)`` argsort instead of ``m`` Python round trips).  Requests whose
-array is already memoized are answered straight from the
-:class:`~repro.serve.cache.GroupingCache`.
+The deterministic DyGroups groupers are pure functions of ``(skills, k,
+mode)`` — no generator state — so round steps of same-configuration
+cohorts can be stacked: a worker drains up to ``batch_max`` queued
+steps, groups them by ``(n, k, mode, rate)``, and proposes for each
+group with one vectorized :func:`repro.core.batch.propose_batch` call
+(a single ``(m, n)`` argsort instead of ``m`` Python round trips), or
+straight from the :class:`~repro.serve.cache.GroupingCache` for arrays
+already memoized.
 
-Full *round steps* batch the same way — but **adaptively**:
-:meth:`BatchScheduler.step_rounds` enqueues a whole multi-round
-propose → update → gain sequence as ONE request only when at least
+Steps batch **adaptively**: :meth:`BatchScheduler.step_rounds`
+enqueues a whole multi-round propose → update → gain sequence as ONE
+request only when at least
 ``batch_min`` same-``(n, k, mode, rate)`` steps are in flight (so a
 worker has something to stack it with) AND more than one hardware
 thread backs the workers (``parallelism``); otherwise it falls through
@@ -30,16 +30,16 @@ drained with one batched proposal plus one stacked skill update
 engine's kernel, bit-identical to the scalar round step).  Cohorts are
 advanced in *waves* of distinct sessions, locks taken in session-id
 order, so concurrent advances of one cohort stay sequential and
-deadlock-free.  ``adaptive=False`` restores unconditional enqueueing.
+deadlock-free.
 
 Backpressure is explicit: the request queue is bounded and
-:meth:`BatchScheduler.submit` *rejects* work with
+:meth:`BatchScheduler.submit_step` *rejects* work with
 :class:`~repro.serve.errors.SchedulerSaturated` (the HTTP layer's 429)
 instead of queueing unboundedly.  Shutdown is graceful — workers drain
 the queue's sentinel and every in-flight future resolves.
 
 Metrics (``serve.scheduler.*`` in the :mod:`repro.obs.metrics`
-registry): batches executed, batch-size histogram, rejections, a
+registry): step waves executed, wave-size histogram, rejections, a
 ``queue_depth`` gauge (live backlog + high-water mark), an
 ``inflight_waves`` gauge, ``step_inline_fallthrough`` (round steps
 answered via the inline kernel because no same-configuration backlog
@@ -82,19 +82,6 @@ __all__ = ["BatchScheduler"]
 _STOP = object()
 
 
-class _Request:
-    """One queued propose request and the future its caller waits on."""
-
-    __slots__ = ("skills", "k", "mode", "future", "enqueued")
-
-    def __init__(self, skills: np.ndarray, k: int, mode: str, enqueued: float) -> None:
-        self.skills = skills
-        self.k = k
-        self.mode = mode
-        self.future: "Future[Grouping]" = Future()
-        self.enqueued = enqueued
-
-
 class _StepRequest:
     """One queued round-step request: ``rounds`` sequential rounds of one cohort.
 
@@ -115,32 +102,28 @@ class _StepRequest:
 
 
 class BatchScheduler:
-    """Coalesces concurrent propose requests into vectorized batches.
+    """Stacks concurrent same-configuration round steps into vectorized waves.
 
     Args:
         cache: grouping memo consulted before (and filled after) every
-            batch compute; ``None`` disables memoization.
+            proposal; ``None`` disables memoization.
         workers: worker-thread count (must be positive — a service that
             wants inline computation simply doesn't build a scheduler).
         queue_depth: request-queue bound; submissions beyond it raise
             :class:`~repro.serve.errors.SchedulerSaturated`.
         batch_max: most requests coalesced into one drain.
-        adaptive: batch a round step only when a same-configuration
-            backlog exists; fall through to the inline kernel otherwise
-            (both paths are bit-identical).  ``False`` restores
-            unconditional enqueueing.
-        batch_min: smallest same-configuration backlog worth stacking
-            (adaptive mode only).  Below it a wave's fixed costs — the
-            queue round trip, the stack/unstack, waking the waiters —
-            outweigh the vectorization win, so smaller backlogs fall
-            through to the inline kernel at submit AND at drain time.
+        batch_min: smallest same-configuration backlog worth stacking.
+            Below it a wave's fixed costs — the queue round trip, the
+            stack/unstack, waking the waiters — outweigh the
+            vectorization win, so smaller backlogs fall through to the
+            inline kernel at submit AND at drain time.
         parallelism: hardware threads assumed to back the workers;
-            defaults to ``os.cpu_count()``.  Adaptive step waves form
-            only when ``min(workers, parallelism) > 1`` — on a single
-            core the wave's serial handoff costs always lose to the
-            inline kernel, so the adaptive path answers every step
-            inline there.  Tests pin this to exercise wave formation
-            deterministically regardless of host.
+            defaults to ``os.cpu_count()``.  Step waves form only when
+            ``min(workers, parallelism) > 1`` — on a single core the
+            wave's serial handoff costs always lose to the inline
+            kernel, so every step is answered inline there.  Tests pin
+            this to exercise wave formation deterministically regardless
+            of host.
     """
 
     def __init__(
@@ -150,7 +133,6 @@ class BatchScheduler:
         workers: int = 2,
         queue_depth: int = 256,
         batch_max: int = 32,
-        adaptive: bool = True,
         batch_min: int = 4,
         parallelism: "int | None" = None,
     ) -> None:
@@ -171,28 +153,22 @@ class BatchScheduler:
         # A step wave only pays when workers genuinely overlap: its fixed
         # costs (queue round trip, future wakeups) are serial, and on a
         # single hardware thread they double the per-round price instead
-        # of hiding behind parallel compute.  Adaptive mode therefore
-        # forms waves only when more than one core backs the workers;
-        # legacy (adaptive=False) queueing is never gated.
+        # of hiding behind parallel compute, so waves form only when
+        # more than one core backs the workers.
         self._wave_parallel = min(workers, self.parallelism) > 1
         self.batch_max = batch_max
         self.batch_min = batch_min
         self.queue_depth = queue_depth
-        self.adaptive = bool(adaptive)
         self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_depth)
         self._closed = False
         self._lock = _sanitize.lock("serve.scheduler.close")
         # Same-configuration step calls currently in flight (submitted but
-        # not yet answered), keyed by (n, k, mode, rate) — the adaptive
-        # backlog probe.  The lock guards only these counters and is never
+        # not yet answered), keyed by (n, k, mode, rate) — the backlog
+        # probe.  The lock guards only these counters and is never
         # held across compute or another acquisition.
         self._step_inflight: "dict[tuple[int, int, str, float], int]" = {}
         self._backlog_lock = _sanitize.lock("serve.scheduler.backlog")
         registry = _obs.metrics_registry()
-        self._batches = registry.counter("serve.scheduler.batches")
-        self._batch_size = registry.histogram(
-            "serve.scheduler.batch_size", keep=REQUEST_HISTOGRAM_KEEP
-        )
         self._step_batches = registry.counter("serve.scheduler.step_batches")
         self._step_batch_size = registry.histogram(
             "serve.scheduler.step_batch_size", keep=REQUEST_HISTOGRAM_KEEP
@@ -224,48 +200,6 @@ class BatchScheduler:
         """Whether :meth:`close` has run."""
         return self._closed
 
-    def submit(self, skills: np.ndarray, k: int, mode: str) -> "Future[Grouping]":
-        """Enqueue one propose request; returns the future resolving to it.
-
-        Raises:
-            ServiceClosed: after :meth:`close`.
-            SchedulerSaturated: when the bounded queue is full (the
-                caller should surface 429 and let the client retry).
-            ValueError: for a mode without a vectorized grouper.
-        """
-        if self._closed:
-            raise ServiceClosed("scheduler is shut down")
-        if mode not in BATCH_MODES:
-            raise ValueError(f"mode {mode!r} is not batchable; expected one of {BATCH_MODES}")
-        request = _Request(skills, k, mode, time.perf_counter())
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self._rejections.inc()
-            raise SchedulerSaturated(
-                f"propose queue is full ({self.queue_depth} requests queued); retry later"
-            ) from None
-        self._queue_gauge.inc()
-        return request.future
-
-    def propose(
-        self, skills: np.ndarray, k: int, mode: str, *, timeout: "float | None" = None
-    ) -> Grouping:
-        """Blocking submit-and-wait.
-
-        Raises:
-            RequestTimeout: the future did not resolve within ``timeout``.
-            (plus everything :meth:`submit` raises)
-        """
-        future = self.submit(skills, k, mode)
-        _sanitize.check_blocking("future.result(propose)")
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            raise RequestTimeout(
-                f"propose request did not complete within {timeout:g}s"
-            ) from None
-
     def submit_step(
         self, session: "CohortSession", rounds: int = 1
     ) -> "Future[list[dict[str, Any]]]":
@@ -293,7 +227,7 @@ class BatchScheduler:
         except queue.Full:
             self._rejections.inc()
             raise SchedulerSaturated(
-                f"propose queue is full ({self.queue_depth} requests queued); retry later"
+                f"round-step queue is full ({self.queue_depth} requests queued); retry later"
             ) from None
         self._queue_gauge.inc()
         return request.future
@@ -323,8 +257,8 @@ class BatchScheduler:
     ) -> "list[dict[str, Any]]":
         """Blocking multi-round step: batch when a backlog exists, inline otherwise.
 
-        Adaptive mode probes the in-flight count of this session's
-        ``(n, k, mode, rate)`` configuration: with at least ``batch_min``
+        Probes the in-flight count of this session's ``(n, k, mode,
+        rate)`` configuration: with at least ``batch_min``
         same-key requests in flight (this one included) the request
         enqueues as ONE multi-round unit (a worker will stack the
         cohorts and keep them stacked for every round); below the
@@ -340,10 +274,6 @@ class BatchScheduler:
         """
         if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds <= 0:
             raise ValueError(f"rounds must be a positive int, got {rounds!r}")
-        if not self.adaptive:
-            # Legacy unconditional batching queues each round separately —
-            # the pre-adaptive contract, preserved for comparison benches.
-            return [self._step_queued(session, 1, timeout)[0] for _ in range(rounds)]
         self._validate_step(session)
         key = self._step_key(session)
         with self._backlog_lock:
@@ -404,7 +334,7 @@ class BatchScheduler:
                 return grouping
 
         # Inline steps are kernel compute too: keep the stage series
-        # complete whichever way the adaptive decision went.
+        # complete whichever way the batching decision went.
         with self._kernel_seconds.time():
             return [session.advance_round(propose) for _ in range(rounds)]
 
@@ -436,7 +366,7 @@ class BatchScheduler:
                 return
             drained = time.perf_counter()
             self._queue_gauge.dec()
-            batch: list[_Request] = [item]
+            batch: "list[_StepRequest]" = [item]
             while len(batch) < self.batch_max:
                 try:
                     extra = self._queue.get_nowait()
@@ -451,39 +381,10 @@ class BatchScheduler:
             now = time.perf_counter()
             for request in batch:
                 self._wait_seconds.observe(now - request.enqueued)
-            proposals = [r for r in batch if isinstance(r, _Request)]
-            steps = [r for r in batch if isinstance(r, _StepRequest)]
             self._assembly_seconds.observe(now - drained)
-            if proposals:
-                self._batches.inc()
-                self._batch_size.observe(len(proposals))
-                with self._kernel_seconds.time():
-                    self._execute(proposals)
-            if steps:
-                # Kernel timing happens per wave / per inline step inside
-                # _execute_steps, so the series decomposes by decision.
-                self._execute_steps(steps)
-
-    def _execute(self, batch: list[_Request]) -> None:
-        """Answer a drained batch, vectorizing compatible requests together."""
-        by_shape: dict[tuple[int, int, str], list[_Request]] = {}
-        for request in batch:
-            if request.future.set_running_or_notify_cancel():
-                key = (int(request.skills.size), request.k, request.mode)
-                by_shape.setdefault(key, []).append(request)
-        for (_, k, mode), requests in by_shape.items():
-            arrays = [request.skills for request in requests]
-            try:
-                if self.cache is not None:
-                    groupings = self.cache.propose_batch(arrays, k, mode)
-                else:
-                    groupings = propose_batch(np.stack(arrays), k, mode)
-            except Exception as error:
-                for request in requests:
-                    request.future.set_exception(error)
-                continue
-            for request, grouping in zip(requests, groupings):
-                request.future.set_result(grouping)
+            # Kernel timing happens per wave / per inline step inside
+            # _execute_steps, so the series decomposes by decision.
+            self._execute_steps(batch)
 
     def _execute_steps(self, batch: "list[_StepRequest]") -> None:
         """Advance a drained batch of cohorts, batching compatible rounds.
@@ -493,13 +394,12 @@ class BatchScheduler:
         that two queued advances of one cohort play sequential rounds
         (its lock is not reentrant, and round indices must not collide).
 
-        The drain-time half of the adaptive decision lives here: a wave
+        The drain-time half of the batching decision lives here: a wave
         below ``batch_min`` cohorts has no batching win to pay for its
-        stacking overhead, so (in adaptive mode) it is answered through
-        the inline kernel path instead — counted in
-        ``step_inline_fallthrough``, exactly like a submit-time
-        fall-through.  ``step_batches`` / ``step_batch_size`` describe
-        only the waves that actually stacked.
+        stacking overhead, so it is answered through the inline kernel
+        path instead — counted in ``step_inline_fallthrough``, exactly
+        like a submit-time fall-through.  ``step_batches`` /
+        ``step_batch_size`` describe only the waves that actually stacked.
         """
         by_config: "dict[tuple[int, int, str, float], list[_StepRequest]]" = {}
         for request in batch:
@@ -517,7 +417,7 @@ class BatchScheduler:
                     else:
                         seen.add(id(request.session))
                         wave.append(request)
-                if self.adaptive and len(wave) < self.batch_min:
+                if len(wave) < self.batch_min:
                     for request in wave:
                         self._inline_fallthrough.inc(request.rounds)
                         self._execute_step_request_inline(request)

@@ -114,7 +114,6 @@ class GroupingService:
                 queue_depth=self.config.queue_depth,
                 batch_max=self.config.batch_max,
                 batch_min=self.config.batch_min,
-                adaptive=self.config.adaptive_batch,
             )
             if self.config.workers > 0
             else None

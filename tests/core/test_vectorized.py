@@ -179,7 +179,7 @@ class TestSimulateMany:
         return np.random.default_rng(seed).uniform(1.0, 50.0, size=(trials, n))
 
     def test_engines_tuple(self):
-        assert ENGINES == ("auto", "scalar", "vectorized", "sharded")
+        assert ENGINES == ("auto", "scalar", "vectorized")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):

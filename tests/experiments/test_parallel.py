@@ -13,11 +13,9 @@ import pytest
 
 from repro.core.batch import shared_memory_available
 from repro.experiments.parallel import (
-    POOL_ENV,
     WORKERS_ENV,
     WorkerPool,
     WorkerPoolError,
-    resolve_pool_policy,
     resolve_workers,
     run_spec_parallel,
     shared_pool,
@@ -237,22 +235,6 @@ class TestWorkerPool:
 
             gauge = _rt.metrics_registry().gauge("parallel.pool.queue_depth")
             assert gauge.value == 0
-
-
-class TestPoolPolicy:
-    def test_explicit_policy_wins(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV, "per-call")
-        assert resolve_pool_policy("keep") == "keep"
-
-    def test_env_fills_in(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV, "per-call")
-        assert resolve_pool_policy() == "per-call"
-        monkeypatch.delenv(POOL_ENV)
-        assert resolve_pool_policy() == "keep"
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="pool policy"):
-            resolve_pool_policy("recycle")
 
     def test_shared_pool_is_process_wide_and_resizes(self):
         try:

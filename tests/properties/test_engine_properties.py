@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.simulation import simulate
 from repro.core.vectorized import simulate_many
+from repro.engine.stacked import grouping_to_members
 from repro.registry import POLICY_NAMES, build_policy, get_policy
 from repro.serve.config import ServeConfig
 from repro.serve.service import GroupingService
@@ -98,3 +99,25 @@ def test_spec_string_params_land_on_the_programmatic_trajectory(instance):
     )
     assert np.array_equal(via_spec.final_skills, direct.final_skills)
     assert np.array_equal(via_spec.round_gains, direct.round_gains)
+
+
+class TestGroupingToMembers:
+    """The stacked flattening rides the trusted fast path."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           k=st.integers(min_value=1, max_value=5),
+           size=st.integers(min_value=2, max_value=5))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_concatenate_reference(self, seed, k, size):
+        from repro.core.grouping import Grouping
+
+        n = k * size
+        perm = np.random.default_rng(seed).permutation(n)
+        grouping = Grouping(perm.reshape(k, size).tolist())
+        flat = grouping_to_members(grouping)
+        reference = np.concatenate([np.asarray(g, dtype=np.intp) for g in grouping])
+        assert flat.dtype == np.intp
+        assert np.array_equal(flat, reference)
+        # and the from_members fast path round-trips it
+        rebuilt = Grouping.from_members(flat.reshape(k, size))
+        assert rebuilt.canonical() == grouping.canonical()

@@ -4,13 +4,15 @@ Three claims, over randomized ``(skills, k, mode)`` instances including
 ties and repeated values:
 
 1. the vectorized batch grouper equals the scalar groupers row for row;
-2. a cache *hit* — exact tier or rank tier — returns exactly what a cold
-   compute would, no matter what was inserted before the query;
+2. a cache *hit* returns exactly what a cold compute would, no matter
+   what was inserted before the query;
 3. a session advanced round by round over the service equals an offline
    ``simulate`` run with the same seed.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,8 +22,10 @@ from repro.baselines.registry import make_policy
 from repro.core.batch import propose_batch
 from repro.core.local import dygroups_clique_local, dygroups_star_local
 from repro.core.simulation import simulate
+from repro.obs import runtime
 from repro.serve.cache import GroupingCache
 from repro.serve.config import ServeConfig
+from repro.serve.scheduler import BatchScheduler
 from repro.serve.service import GroupingService
 
 REFERENCE = {"star": dygroups_star_local, "clique": dygroups_clique_local}
@@ -72,11 +76,11 @@ def test_cache_hits_are_bit_identical_to_cold_computes(instance):
     matrix, k, mode = instance
     cache = GroupingCache(max_entries=8)
     for row in matrix:
-        # First pass warms exact and rank tiers in arbitrary interleavings...
+        # First pass warms the memo in arbitrary interleavings...
         cache.propose(row, k, mode)
     for row in matrix:
         # ...second pass must still match a cold scalar compute exactly,
-        # for repeats (exact tier) and permuted multisets (rank tier) alike.
+        # for repeats and permuted multisets alike.
         assert groups_of(cache.propose(row, k, mode)) == groups_of(REFERENCE[mode](row, k))
         permuted = row[np.argsort(row, kind="stable")]  # a deterministic permutation
         assert groups_of(cache.propose(permuted, k, mode)) == groups_of(
@@ -123,25 +127,68 @@ def test_served_trajectories_equal_offline_simulate(instance):
     assert np.array_equal(final, reference.final_skills)
 
 
+def _counter(name):
+    return runtime.metrics_registry().counter(name).value
+
+
+class _ParkingCache(GroupingCache):
+    """A memo whose first ``propose`` waits for ``release``, parking the worker."""
+
+    def __init__(self) -> None:
+        super().__init__(16)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def propose(self, skills, k, mode):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(timeout=10.0), "parking cache never released"
+        return super().propose(skills, k, mode)
+
+
+def _waved_trajectory(payload, alpha):
+    """Play ``alpha`` rounds of the payload's cohort inside a two-cohort step wave."""
+    with GroupingService(ServeConfig(workers=0, cache_size=0)) as service:
+        parking, subject, partner = (
+            service.store.get(service.create_cohort(payload)["cohort"]) for _ in range(3)
+        )
+        cache = _ParkingCache()
+        waves = _counter("serve.scheduler.step_batches")
+        scheduler = BatchScheduler(cache, workers=1, batch_min=2, parallelism=2)
+        try:
+            # A lone step drains alone, falls through inline and parks the
+            # worker; the two steps queued behind it drain as one wave.
+            parked = scheduler.submit_step(parking, 1)
+            assert cache.entered.wait(timeout=10.0)
+            futures = [scheduler.submit_step(session, alpha) for session in (subject, partner)]
+            cache.release.set()
+            parked.result(timeout=10.0)
+            played = futures[0].result(timeout=10.0)
+            futures[1].result(timeout=10.0)
+        finally:
+            scheduler.close()
+        assert _counter("serve.scheduler.step_batches") - waves == 1
+        return [r["gain"] for r in played], service.get_cohort(subject.id)["skills"]
+
+
 @given(instance=cohort_instances())
 @settings(max_examples=15, deadline=None)
-def test_adaptive_legacy_and_inline_scheduling_agree(instance):
-    """The scheduling decision is invisible: adaptive fall-through (the
-    single-core default), legacy unconditional batching, and the
-    worker-less inline route play bit-identical trajectories."""
+def test_wave_fallthrough_and_inline_scheduling_agree(instance):
+    """The scheduling decision is invisible: adaptive fall-through, a
+    stacked step wave, and the worker-less inline route play
+    bit-identical trajectories."""
     skills, k, mode, seed, alpha = instance
     payload = {"skills": skills.tolist(), "k": k, "mode": mode, "seed": seed}
     trajectories = []
     for config in (
         ServeConfig(workers=0, cache_size=16),
-        ServeConfig(workers=2, cache_size=16, adaptive_batch=True),
-        ServeConfig(workers=2, cache_size=16, adaptive_batch=False),
+        ServeConfig(workers=2, cache_size=16),
     ):
         with GroupingService(config) as service:
             cohort = service.create_cohort(payload)["cohort"]
             played = service.advance_rounds(cohort, alpha)["played"]
             final = service.get_cohort(cohort)["skills"]
         trajectories.append(([r["gain"] for r in played], final))
-    inline, adaptive, legacy = trajectories
+    inline, adaptive = trajectories
     assert adaptive == inline
-    assert legacy == inline
+    assert _waved_trajectory(payload, alpha) == inline

@@ -1,4 +1,4 @@
-"""Unit tests for the micro-batching scheduler (batching, backpressure)."""
+"""Unit tests for the round-step scheduler (step waves, backpressure)."""
 
 from __future__ import annotations
 
@@ -7,135 +7,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.local import dygroups_clique_local, dygroups_star_local
 from repro.obs import runtime
 from repro.serve.cache import GroupingCache
 from repro.serve.config import ServeConfig
 from repro.serve.errors import RequestTimeout, SchedulerSaturated, ServiceClosed
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.service import GroupingService
-
-
-def groups_of(grouping):
-    return [list(g) for g in grouping]
-
-
-@pytest.fixture
-def skills() -> np.ndarray:
-    return np.random.default_rng(5).uniform(1.0, 9.0, size=12)
-
-
-class TestPropose:
-    @pytest.mark.parametrize("mode,reference", [
-        ("star", dygroups_star_local), ("clique", dygroups_clique_local),
-    ])
-    def test_matches_scalar_grouper(self, skills, mode, reference):
-        with BatchScheduler(workers=2) as scheduler:
-            result = scheduler.propose(skills, 3, mode, timeout=10.0)
-        assert groups_of(result) == groups_of(reference(skills, 3))
-
-    def test_concurrent_mixed_shapes(self):
-        rng = np.random.default_rng(6)
-        jobs = [
-            (rng.uniform(1, 9, size=12), 3, "star"),
-            (rng.uniform(1, 9, size=12), 4, "clique"),
-            (rng.uniform(1, 9, size=20), 5, "star"),
-        ] * 8
-        with BatchScheduler(GroupingCache(), workers=3) as scheduler:
-            futures = [scheduler.submit(s, k, m) for s, k, m in jobs]
-            results = [f.result(timeout=10.0) for f in futures]
-        for (s, k, m), grouping in zip(jobs, results):
-            reference = dygroups_star_local if m == "star" else dygroups_clique_local
-            assert groups_of(grouping) == groups_of(reference(s, k))
-
-    def test_batches_are_recorded(self, skills):
-        with BatchScheduler(workers=1) as scheduler:
-            for _ in range(4):
-                scheduler.propose(skills, 3, "star", timeout=10.0)
-        snapshot = runtime.metrics_registry().snapshot()
-        assert snapshot["counters"]["serve.scheduler.batches"]["value"] >= 1
-        assert snapshot["histograms"]["serve.scheduler.batch_size"]["count"] >= 1
-
-    def test_unbatchable_mode_rejected_eagerly(self, skills):
-        with BatchScheduler(workers=1) as scheduler:
-            with pytest.raises(ValueError, match="not batchable"):
-                scheduler.submit(skills, 3, "ring")
-
-    def test_invalid_propose_resolves_future_with_error(self):
-        with BatchScheduler(workers=1) as scheduler:
-            future = scheduler.submit(np.array([1.0, 2.0, 3.0]), 2, "star")  # 3 % 2 != 0
-            with pytest.raises(ValueError):
-                future.result(timeout=10.0)
-
-
-class _StallingCache:
-    """Cache stand-in that parks the worker until released (backpressure tests)."""
-
-    def __init__(self) -> None:
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def propose_batch(self, arrays, k, mode):
-        self.entered.set()
-        assert self.release.wait(timeout=10.0), "stalling cache never released"
-        return GroupingCache().propose_batch(arrays, k, mode)
-
-    def propose(self, skills, k, mode):
-        # The drain-time inline fall-through path; never stalls.
-        return GroupingCache().propose(skills, k, mode)
-
-
-class TestBackpressure:
-    def test_saturation_rejects_not_queues(self, skills):
-        stall = _StallingCache()
-        scheduler = BatchScheduler(stall, workers=1, queue_depth=2, batch_max=1)
-        try:
-            blocker = scheduler.submit(skills, 3, "star")
-            assert stall.entered.wait(timeout=10.0)  # worker is now parked
-            queued = [scheduler.submit(skills, 3, "star") for _ in range(2)]
-            with pytest.raises(SchedulerSaturated):
-                scheduler.submit(skills, 3, "star")
-            with pytest.raises(SchedulerSaturated):
-                scheduler.submit(skills, 3, "star")
-            snapshot = runtime.metrics_registry().snapshot()
-            assert snapshot["counters"]["serve.scheduler.rejections"]["value"] == 2
-            stall.release.set()
-            # Everything accepted before saturation still completes.
-            assert blocker.result(timeout=10.0).k == 3
-            for future in queued:
-                assert future.result(timeout=10.0).k == 3
-        finally:
-            scheduler.close()
-
-    def test_timeout_surfaces_as_request_timeout(self, skills, monkeypatch):
-        scheduler = BatchScheduler(workers=1)
-        scheduler.close()  # workers gone: a hand-queued request never resolves
-        monkeypatch.setattr(scheduler, "_closed", False)
-        with pytest.raises(RequestTimeout):
-            scheduler.propose(skills, 3, "star", timeout=0.05)
-        scheduler._closed = True
-
-
-class TestLifecycle:
-    def test_submit_after_close_is_503(self, skills):
-        scheduler = BatchScheduler(workers=1)
-        scheduler.close()
-        with pytest.raises(ServiceClosed):
-            scheduler.submit(skills, 3, "star")
-
-    def test_close_is_idempotent(self):
-        scheduler = BatchScheduler(workers=2)
-        scheduler.close()
-        scheduler.close()
-        assert scheduler.closed
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            BatchScheduler(workers=0)
-        with pytest.raises(ValueError):
-            BatchScheduler(workers=1, queue_depth=0)
-        with pytest.raises(ValueError):
-            BatchScheduler(workers=1, batch_max=0)
 
 
 def _counter(name):
@@ -158,13 +35,107 @@ def _service_with_cohorts(count, *, n=12, k=3, mode="star", seed=11):
     return service, [service.store.get(cid) for cid in ids]
 
 
+class _StallingCache:
+    """Cache stand-in that parks the worker on its first proposal until released."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _park(self) -> None:
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(timeout=10.0), "stalling cache never released"
+
+    def propose_batch(self, arrays, k, mode):
+        self._park()
+        return GroupingCache().propose_batch(arrays, k, mode)
+
+    def propose(self, skills, k, mode):
+        self._park()
+        return GroupingCache().propose(skills, k, mode)
+
+
+def _park_worker(scheduler, stall, session):
+    """Queue a lone one-round step; return its future once the worker is parked on it.
+
+    Drained alone, the step is below any ``batch_min``, so the worker
+    answers it through the inline kernel and stalls in the cache's
+    ``propose``; every step queued after it waits for the release.
+    """
+    parked = scheduler.submit_step(session, 1)
+    assert stall.entered.wait(timeout=10.0)
+    return parked
+
+
+class TestBackpressure:
+    def test_saturation_rejects_not_queues(self):
+        service, sessions = _service_with_cohorts(4)
+        stall = _StallingCache()
+        with service:
+            scheduler = BatchScheduler(stall, workers=1, queue_depth=2, batch_max=1)
+            try:
+                blocker = _park_worker(scheduler, stall, sessions[0])
+                queued = [scheduler.submit_step(session, 1) for session in sessions[1:3]]
+                with pytest.raises(SchedulerSaturated):
+                    scheduler.submit_step(sessions[3], 1)
+                with pytest.raises(SchedulerSaturated):
+                    scheduler.submit_step(sessions[3], 1)
+                snapshot = runtime.metrics_registry().snapshot()
+                assert snapshot["counters"]["serve.scheduler.rejections"]["value"] == 2
+                stall.release.set()
+                # Everything accepted before saturation still completes.
+                for future in [blocker, *queued]:
+                    records = future.result(timeout=10.0)
+                    assert [r["round"] for r in records] == [0]
+            finally:
+                scheduler.close()
+
+    def test_timeout_surfaces_as_request_timeout(self, monkeypatch):
+        service, (subject,) = _service_with_cohorts(1)
+        with service:
+            scheduler = BatchScheduler(workers=2, parallelism=2)
+            scheduler.close()  # workers gone: a queued step never resolves
+            monkeypatch.setattr(scheduler, "_closed", False)
+            # A backlog of one is enough to queue, so the lone step waits
+            # on the queue instead of falling through inline.
+            monkeypatch.setattr(scheduler, "batch_min", 1)
+            with pytest.raises(RequestTimeout):
+                scheduler.step_rounds(subject, 1, timeout=0.05)
+            scheduler._closed = True
+
+
+class TestLifecycle:
+    def test_submit_after_close_is_503(self):
+        service, (subject,) = _service_with_cohorts(1)
+        with service:
+            scheduler = BatchScheduler(workers=1)
+            scheduler.close()
+            with pytest.raises(ServiceClosed):
+                scheduler.submit_step(subject, 1)
+
+    def test_close_is_idempotent(self):
+        scheduler = BatchScheduler(workers=2)
+        scheduler.close()
+        scheduler.close()
+        assert scheduler.closed
+
+    def test_invalid_construction(self):
+        with pytest.raises(ValueError):
+            BatchScheduler(workers=0)
+        with pytest.raises(ValueError):
+            BatchScheduler(workers=1, queue_depth=0)
+        with pytest.raises(ValueError):
+            BatchScheduler(workers=1, batch_max=0)
+
+
 class TestAdaptiveSteps:
     def test_lone_step_falls_through_inline(self):
         service, (subject, reference) = _service_with_cohorts(2)
         with service:
             falls = _counter("serve.scheduler.step_inline_fallthrough")
             waves = _counter("serve.scheduler.step_batches")
-            with BatchScheduler(workers=1, adaptive=True, parallelism=4) as scheduler:
+            with BatchScheduler(workers=1, parallelism=4) as scheduler:
                 records = scheduler.step_rounds(subject, 3)
             assert _counter("serve.scheduler.step_inline_fallthrough") - falls == 3
             assert _counter("serve.scheduler.step_batches") - waves == 0
@@ -177,9 +148,7 @@ class TestAdaptiveSteps:
         reference = sessions[-1]
         with service:
             waves = _counter("serve.scheduler.step_batches")
-            with BatchScheduler(
-                workers=2, adaptive=True, batch_min=2, parallelism=1
-            ) as scheduler:
+            with BatchScheduler(workers=2, batch_min=2, parallelism=1) as scheduler:
                 barrier = threading.Barrier(4)
                 results: dict[int, list] = {}
 
@@ -199,22 +168,19 @@ class TestAdaptiveSteps:
             for records in results.values():
                 assert [r["gain"] for r in records] == [r["gain"] for r in expected]
 
-    def test_wave_is_bit_identical_to_inline(self, skills):
-        service, sessions = _service_with_cohorts(4)
+    def test_wave_is_bit_identical_to_inline(self):
+        service, sessions = _service_with_cohorts(5)
         reference = sessions[-1]
         stall = _StallingCache()
         with service:
-            waves = _counter("serve.scheduler.step_batches")
-            scheduler = BatchScheduler(
-                stall, workers=1, adaptive=True, batch_min=2, parallelism=4
-            )
+            scheduler = BatchScheduler(stall, workers=1, batch_min=2, parallelism=4)
             try:
-                # Park the lone worker on a propose request, enqueue three
+                # Park the lone worker on a one-round step, enqueue three
                 # same-configuration multi-round steps behind it, then let
                 # the drain stack them into one wave.
-                parked = scheduler.submit(skills, 3, "star")
-                assert stall.entered.wait(timeout=10.0)
-                futures = [scheduler.submit_step(s, 2) for s in sessions[:3]]
+                parked = _park_worker(scheduler, stall, sessions[0])
+                waves = _counter("serve.scheduler.step_batches")
+                futures = [scheduler.submit_step(s, 2) for s in sessions[1:4]]
                 stall.release.set()
                 parked.result(timeout=10.0)
                 waved = [f.result(timeout=10.0) for f in futures]
@@ -226,18 +192,16 @@ class TestAdaptiveSteps:
                 assert [r["gain"] for r in records] == [r["gain"] for r in expected]
                 assert [r["groups"] for r in records] == [r["groups"] for r in expected]
 
-    def test_undersized_wave_falls_through_at_drain(self, skills):
-        service, (subject, reference) = _service_with_cohorts(2)
+    def test_undersized_wave_falls_through_at_drain(self):
+        service, (parking, subject, reference) = _service_with_cohorts(3)
         stall = _StallingCache()
         with service:
-            falls = _counter("serve.scheduler.step_inline_fallthrough")
-            waves = _counter("serve.scheduler.step_batches")
-            scheduler = BatchScheduler(
-                stall, workers=1, adaptive=True, batch_min=2, parallelism=4
-            )
+            scheduler = BatchScheduler(stall, workers=1, batch_min=2, parallelism=4)
             try:
-                parked = scheduler.submit(skills, 3, "star")
-                assert stall.entered.wait(timeout=10.0)
+                parked = _park_worker(scheduler, stall, parking)
+                # The parked step's own fall-through is counted before it parks.
+                falls = _counter("serve.scheduler.step_inline_fallthrough")
+                waves = _counter("serve.scheduler.step_batches")
                 lone = scheduler.submit_step(subject, 2)
                 stall.release.set()
                 parked.result(timeout=10.0)
@@ -247,20 +211,6 @@ class TestAdaptiveSteps:
             assert _counter("serve.scheduler.step_batches") - waves == 0
             assert _counter("serve.scheduler.step_inline_fallthrough") - falls == 2
             expected = [reference.advance_round() for _ in range(2)]
-            assert [r["gain"] for r in records] == [r["gain"] for r in expected]
-
-    def test_legacy_mode_always_queues(self):
-        service, (subject, reference) = _service_with_cohorts(2)
-        with service:
-            falls = _counter("serve.scheduler.step_inline_fallthrough")
-            waves = _counter("serve.scheduler.step_batches")
-            with BatchScheduler(workers=1, adaptive=False, parallelism=1) as scheduler:
-                records = scheduler.step_rounds(subject, 3)
-            # Legacy queues each round separately and never falls through,
-            # even on a single core — the pre-adaptive contract.
-            assert _counter("serve.scheduler.step_batches") - waves == 3
-            assert _counter("serve.scheduler.step_inline_fallthrough") - falls == 0
-            expected = [reference.advance_round() for _ in range(3)]
             assert [r["gain"] for r in records] == [r["gain"] for r in expected]
 
     def test_step_rounds_validation(self):

@@ -11,6 +11,8 @@ from repro.core.dygroups import dygroups
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.io import (
+    experiment_spec_from_dict,
+    experiment_spec_to_dict,
     load_json,
     load_skills,
     save_json,
@@ -68,6 +70,20 @@ class TestSeriesSetRoundTrip:
         restored = series_set_from_dict(series_set_to_dict(original))
         assert restored.title == original.title
         assert restored.series == original.series
+
+
+class TestSpecRoundTrip:
+    def test_spec_io_round_trip(self):
+        spec = ExperimentSpec(
+            n=24, k=4, runs=2, algorithms=("dygroups",), engine="vectorized", workers=2
+        )
+        payload = experiment_spec_to_dict(spec)
+        assert payload["engine"] == "vectorized" and payload["workers"] == 2
+        # Specs saved by earlier versions carry a "shards" count for an
+        # engine path whose results were bit-identical to the vectorized
+        # engine's; loading drops it.
+        for saved in (payload, {**payload, "shards": 4}):
+            assert experiment_spec_from_dict(saved) == spec
 
 
 class TestSpecOutcomeExport:
