@@ -22,6 +22,14 @@ __all__ = [
 ]
 
 
+def _as_float(value: float, *, name: str) -> float:
+    """``float(value)``, reporting an int too large for a double as a ``ValueError``."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is too large to represent as a float") from exc
+
+
 def as_skill_array(skills: Sequence[float] | np.ndarray, *, name: str = "skills") -> np.ndarray:
     """Coerce ``skills`` to a fresh 1-D ``float64`` array of positive values.
 
@@ -35,6 +43,8 @@ def as_skill_array(skills: Sequence[float] | np.ndarray, *, name: str = "skills"
     """
     try:
         array = np.array(skills, dtype=np.float64, copy=True)
+    except OverflowError as exc:
+        raise ValueError(f"{name} must contain only finite values") from exc
     except (TypeError, ValueError) as exc:
         raise TypeError(f"{name} must be a sequence of numbers, got {type(skills).__name__}") from exc
     if array.ndim != 1:
@@ -73,7 +83,7 @@ def require_learning_rate(rate: float, *, name: str = "rate") -> float:
     """
     if isinstance(rate, bool) or not isinstance(rate, (int, float, np.floating, np.integer)):
         raise TypeError(f"{name} must be a float, got {type(rate).__name__}")
-    rate = float(rate)
+    rate = _as_float(rate, name=name)
     if not 0.0 < rate < 1.0:
         raise ValueError(f"{name} must lie in the open interval (0, 1), got {rate}")
     return rate
@@ -83,7 +93,7 @@ def require_probability(value: float, *, name: str) -> float:
     """Validate a probability-like parameter in the closed interval [0, 1]."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
         raise TypeError(f"{name} must be a float, got {type(value).__name__}")
-    value = float(value)
+    value = _as_float(value, name=name)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value

@@ -53,12 +53,7 @@ from repro.core.interactions import InteractionMode, get_mode
 from repro.core.simulation import GroupingPolicy, SimulationResult, simulate
 from repro.engine.kernel import check_required_mode
 from repro.engine.select import ENGINES, select_engine
-from repro.engine.stacked import (
-    StackedRoundKernel,
-    check_members_are_permutations as _check_members_are_permutations,  # noqa: F401 - back-compat
-    update_clique_many,
-    update_star_many,
-)
+from repro.engine.stacked import StackedRoundKernel, update_clique_many, update_star_many
 from repro.obs import trace as _trace
 
 __all__ = [

@@ -205,8 +205,6 @@ class StackedRoundKernel:
         gain_fn: the learning-gain function.
         record_timings: measure per-step wall-clock durations even when
             observability is off.
-        instrument: resolve the process-global observability state; the
-            serving scheduler passes ``False``.
 
     Raises:
         ValueError: for a mode/gain combination with no batched update.
@@ -219,7 +217,6 @@ class StackedRoundKernel:
         gain_fn: GainFunction,
         *,
         record_timings: bool = False,
-        instrument: bool = True,
     ) -> None:
         self.vec = vec
         self.mode = get_mode(mode)
@@ -231,7 +228,7 @@ class StackedRoundKernel:
         if self.mode.name not in ("star", "clique"):
             raise ValueError(f"mode {self.mode.name!r} has no batched skill update")
         self.policy_label = vec.name or type(vec).__name__
-        obs = _obs.state() if instrument else None
+        obs = _obs.state()
         self.journal = obs.journal if obs is not None else None
         self.metrics = obs.metrics if obs is not None else None
         self.timing = record_timings or obs is not None

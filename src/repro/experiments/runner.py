@@ -6,14 +6,15 @@ every algorithm sees the *same* initial skills in run ``i`` — a paired
 design that removes skill-draw variance from algorithm comparisons, as in
 the paper's matched-population protocol.
 
-Engine routing: with ``spec.engine`` ``"auto"`` (the default) the runs of
-each vectorizable algorithm are stacked into one
-:func:`repro.core.vectorized.simulate_many` call — a handful of ``(R, n)``
-numpy kernels per round instead of ``R`` Python loops — while every other
-algorithm keeps the per-run scalar path.  Seeding is unchanged (trial
-``i`` still uses ``spec.seed + i``), so outcomes are **bit-identical**
-across engines; only the timing fields are measured differently (a
-stacked round is amortized uniformly over its trials).
+Engine routing: the runs of each algorithm go through one
+:func:`repro.core.vectorized.simulate_many` call.  With ``spec.engine``
+``"auto"`` (the default) a vectorizable algorithm advances all runs with
+a handful of ``(R, n)`` numpy kernels per round instead of ``R`` Python
+loops; every other algorithm, or any under ``"scalar"``, falls back to
+one scalar ``simulate()`` per run.  Seeding is unchanged (trial ``i``
+still uses ``spec.seed + i``), so outcomes are **bit-identical** across
+engines; only the timing fields are measured differently (a stacked
+round is amortized uniformly over its trials).
 
 Process parallelism: ``run_spec(spec, workers=N)`` (or ``spec.workers`` /
 the ``REPRO_WORKERS`` environment variable) fans the runs out over worker
@@ -36,11 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.gain_functions import LinearGain
-from repro.core.simulation import GroupingPolicy, SimulationResult, simulate
+from repro.core.simulation import GroupingPolicy, SimulationResult
 from repro.core.vectorized import simulate_many
 from repro.data.distributions import get_distribution
-from repro.engine.select import select_engine
 from repro.experiments.spec import ExperimentSpec
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
@@ -170,109 +169,15 @@ def _execute_runs(
     data = _RunsData.empty(spec.algorithms)
     if not indices:
         return data
-    if skills_matrix is not None and len(skills_matrix) != len(indices):
+    if skills_matrix is None:
+        skills_matrix = np.stack([draw_skills(spec, i) for i in indices])
+    elif len(skills_matrix) != len(indices):
         raise ValueError(
             f"skills_matrix has {len(skills_matrix)} rows for {len(indices)} run indices"
         )
     obs = _obs.state()
-    # One engine decision per algorithm, through the same select_engine
-    # every driver uses: vectorizable entries stack all runs into one
-    # simulate_many call; the rest run the per-run scalar loop.  Under a
-    # forcing engine flag, select_engine raises for an incapable entry —
-    # the same error simulate_many would have raised.
-    scalar_algos: list[str] = []
-    stacked_algos: list[str] = []
-    for entry in spec.algorithms:
-        if spec.engine == "scalar":
-            scalar_algos.append(entry)
-            continue
-        engine_name, _ = select_engine(
-            _policy_for(spec, entry),
-            mode=spec.mode,
-            gain=LinearGain(spec.rate),
-            engine=spec.engine,
-        )
-        (scalar_algos if engine_name == "scalar" else stacked_algos).append(entry)
-    if scalar_algos:
-        _execute_runs_scalar(
-            spec, scalar_algos, indices, data,
-            keep_results=keep_results, obs=obs, skills_matrix=skills_matrix,
-        )
-    if stacked_algos:
-        _execute_runs_stacked(
-            spec, stacked_algos, indices, data,
-            keep_results=keep_results, obs=obs, skills_matrix=skills_matrix,
-        )
-    return data
-
-
-def _execute_runs_scalar(
-    spec: ExperimentSpec,
-    algorithms: Sequence[str],
-    indices: list[int],
-    data: _RunsData,
-    *,
-    keep_results: bool,
-    obs: "_obs.ObsState | None",
-    skills_matrix: "np.ndarray | None" = None,
-) -> None:
-    """Run-major scalar loop (non-vectorizable or forced-scalar entries)."""
-    timers = {name: Timer(f"run.{name}") for name in algorithms}
-    for j, run_index in enumerate(indices):
-        if skills_matrix is not None:
-            skills = np.array(skills_matrix[j], dtype=np.float64, copy=True)
-        else:
-            skills = draw_skills(spec, run_index)
-        for name in algorithms:
-            policy = _policy_for(spec, name)
-            with _trace.span(f"experiments.run:{name}", run_index=run_index):
-                with timers[name].time():
-                    result = simulate(
-                        policy,
-                        skills,
-                        k=spec.k,
-                        alpha=spec.alpha,
-                        mode=spec.mode,
-                        rate=spec.rate,
-                        seed=spec.seed + run_index,
-                        record_groupings=False,
-                        record_timings=True,
-                    )
-            _log.debug(
-                "run %d %s: total_gain=%.6g in %.4fs",
-                run_index, name, result.total_gain, timers[name].values[-1],
-            )
-            data.totals[name].append(result.total_gain)
-            data.rounds[name].append(result.round_gains)
-            assert result.round_seconds is not None  # record_timings=True
-            data.round_times[name].append(result.round_seconds)
-            if obs is not None:
-                obs.metrics.counter("experiments.simulations").inc()
-            if keep_results:
-                data.raw[name].append(result)
-    for name in algorithms:
-        data.runtime_totals[name] = float(timers[name].total)
-
-
-def _execute_runs_stacked(
-    spec: ExperimentSpec,
-    algorithms: Sequence[str],
-    indices: list[int],
-    data: _RunsData,
-    *,
-    keep_results: bool,
-    obs: "_obs.ObsState | None",
-    skills_matrix: "np.ndarray | None" = None,
-) -> None:
-    """Algorithm-major stacked path (vectorizable entries).
-
-    All runs of one algorithm go through a single
-    :func:`~repro.core.vectorized.simulate_many` call.
-    """
-    if skills_matrix is None:
-        skills_matrix = np.stack([draw_skills(spec, i) for i in indices])
     seeds = [spec.seed + i for i in indices]
-    for name in algorithms:
+    for name in spec.algorithms:
         policy = _policy_for(spec, name)
         timer = Timer(f"run.{name}")
         with _trace.span(f"experiments.run_many:{name}", runs=len(indices)):
@@ -303,6 +208,7 @@ def _execute_runs_stacked(
         data.runtime_totals[name] = float(timer.total)
         if obs is not None:
             obs.metrics.counter("experiments.simulations").inc(len(indices))
+    return data
 
 
 def _assemble_outcomes(spec: ExperimentSpec, data: _RunsData) -> dict[str, AlgorithmOutcome]:

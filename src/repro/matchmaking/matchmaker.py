@@ -38,6 +38,7 @@ only the queue lock.
 from __future__ import annotations
 
 import logging
+import math
 import re
 import threading
 import time
@@ -172,7 +173,7 @@ class Matchmaker:
     def join(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Admit one arrival; condenses its spec when the pool fills.
 
-        Payload fields: ``skill`` (required positive number), ``spec``
+        Payload fields: ``skill`` (required positive finite number), ``spec``
         (a configured spec name; optional when only one spec exists or
         the ``default`` spec is configured), ``participant`` (optional
         caller-chosen id).
@@ -313,8 +314,16 @@ class Matchmaker:
         if unknown:
             raise InvalidRequest(f"unknown fields in request: {sorted(unknown)}")
         skill = payload.get("skill")
-        if isinstance(skill, bool) or not isinstance(skill, (int, float)) or not skill > 0:
+        if isinstance(skill, bool) or not isinstance(skill, (int, float)):
             raise InvalidRequest(f"skill must be a positive number, got {skill!r}")
+        try:
+            skill = float(skill)
+        except OverflowError:
+            raise InvalidRequest("skill is too large to represent as a float") from None
+        # A non-finite skill would join, then fail every condensation of
+        # its spec (cohort skills must be finite) and block the spec.
+        if not (math.isfinite(skill) and skill > 0):
+            raise InvalidRequest(f"skill must be a positive finite number, got {skill!r}")
         spec_name = payload.get("spec")
         if spec_name is None:
             if DEFAULT_SPEC_NAME in self.specs:

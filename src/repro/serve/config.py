@@ -13,10 +13,13 @@ from typing import Any, Mapping
 
 from repro._validation import require_positive_int
 
-__all__ = ["ServeConfig", "DEFAULT_PORT", "REQUEST_HISTOGRAM_KEEP"]
+__all__ = ["ServeConfig", "DEFAULT_PORT", "MAX_BODY_BYTES", "REQUEST_HISTOGRAM_KEEP"]
 
 #: Default TCP port of ``dygroups serve``.
 DEFAULT_PORT = 8750
+
+#: Largest accepted request body (a 1M-member cohort is ~20 MB of JSON).
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: Raw-retention bound for every request-path histogram/timer (HTTP
 #: request latency, scheduler wait/assembly/kernel stages, scenario

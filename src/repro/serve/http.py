@@ -56,16 +56,13 @@ from urllib.parse import parse_qs
 
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
-from repro.serve.config import REQUEST_HISTOGRAM_KEEP, ServeConfig
+from repro.serve.config import MAX_BODY_BYTES, REQUEST_HISTOGRAM_KEEP, ServeConfig
 from repro.serve.errors import InvalidRequest, ServeError
 from repro.serve.service import GroupingService
 
 __all__ = ["GroupingHTTPServer", "start_server", "run_server"]
 
 _log = logging.getLogger("repro.serve.http")
-
-#: Largest accepted request body (a 1M-member cohort is ~20 MB of JSON).
-MAX_BODY_BYTES = 32 * 1024 * 1024
 
 _COHORT_PATH = re.compile(r"^/v1/cohorts/(?P<id>[A-Za-z0-9_.-]+)$")
 _ROUNDS_PATH = re.compile(r"^/v1/cohorts/(?P<id>[A-Za-z0-9_.-]+)/rounds$")

@@ -54,16 +54,22 @@ from repro.registry import PolicySpec, build_policy
 from repro.scenarios.slo import SLOReport, evaluate_slos, slo_prometheus_lines
 from repro.scenarios.spec import SLOSpec
 from repro.serve.cache import GroupingCache
-from repro.serve.config import ServeConfig
+from repro.serve.config import MAX_BODY_BYTES, ServeConfig
 from repro.serve.errors import InvalidRequest, MatchmakingDisabled, ServiceClosed
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.sessions import CohortSession, SessionStore
 
-__all__ = ["GroupingService"]
+__all__ = ["GroupingService", "MAX_MEMBER_ROUNDS"]
 
 #: Policy names routed through the cache/scheduler fast path (their
 #: propose step is the deterministic DyGroups-Local grouper).
 _FAST_PATH_POLICIES = frozenset({"dygroups", "dygroups-star", "dygroups-clique"})
+
+#: Most member-rounds (``rounds × n``) one advance request may play.  Every
+#: played round lists all ``n`` members, at up to 8 bytes of JSON each below
+#: a million members (six digits and ``", "``), so a response stays within
+#: the largest request body and a request's work stays bounded.
+MAX_MEMBER_ROUNDS = MAX_BODY_BYTES // 8
 
 
 def _field(payload: Mapping[str, Any], name: str, default: Any = None, *, required: bool = False) -> Any:
@@ -256,7 +262,8 @@ class GroupingService:
         """Advance a cohort by ``rounds`` rounds; returns the new records.
 
         Raises:
-            InvalidRequest: for a non-positive round count.
+            InvalidRequest: for a non-positive round count, or one whose
+                ``rounds × n`` exceeds :data:`MAX_MEMBER_ROUNDS`.
             CohortNotFound / SessionExpired: for unknown or aged-out ids.
             SchedulerSaturated / RequestTimeout: from the propose path.
         """
@@ -266,6 +273,11 @@ class GroupingService:
         except (TypeError, ValueError) as error:
             raise InvalidRequest(str(error)) from error
         session = self.store.get(cohort_id)
+        if rounds * session.n > MAX_MEMBER_ROUNDS:
+            raise InvalidRequest(
+                f"rounds x n = {rounds} x {session.n} exceeds {MAX_MEMBER_ROUNDS} "
+                f"member-rounds per request; advance in smaller steps"
+            )
         played: list[dict[str, Any]] = []
         with _trace.span("serve.advance", cohort=cohort_id, rounds=rounds):
             if self.scheduler is not None and self._fast_path(session):

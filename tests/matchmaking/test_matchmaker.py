@@ -198,8 +198,10 @@ class TestValidationAndLifecycle:
     def test_join_validates_skill(self, clock):
         service = make_service(clock, specs=[SPEC4])
         try:
-            with pytest.raises(InvalidRequest, match="skill"):
-                service.join({"skill": -1.0})
+            for skill in (-1.0, float("inf"), float("nan"), 10**400):
+                with pytest.raises(InvalidRequest, match="skill"):
+                    service.join({"skill": skill})
+            assert service.matchmaking_snapshot()["waiting"] == 0
             with pytest.raises(InvalidRequest, match="skill"):
                 service.join({})
             with pytest.raises(InvalidRequest, match="unknown fields"):

@@ -130,6 +130,16 @@ class TestLifecycle:
 
 
 class TestAdaptiveSteps:
+    def test_workerless_service_bypasses_the_scheduler(self):
+        service, (session,) = _service_with_cohorts(1)
+        with service:
+            falls = _counter("serve.scheduler.step_inline_fallthrough")
+            waves = _counter("serve.scheduler.step_batches")
+            service.advance_rounds(session.id, 3)
+            assert service.scheduler is None
+            assert _counter("serve.scheduler.step_inline_fallthrough") == falls
+            assert _counter("serve.scheduler.step_batches") == waves
+
     def test_lone_step_falls_through_inline(self):
         service, (subject, reference) = _service_with_cohorts(2)
         with service:

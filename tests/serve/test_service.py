@@ -61,6 +61,20 @@ class TestCreateCohort:
         ({"skills": [1.0, 2.0], "k": 1, "seed": "abc"}, "seed"),
         ({"skills": [1.0, 2.0], "k": 1, "policy": "nope"}, "policy"),
         ({"skills": [1.0, 2.0], "k": 1, "bogus": 1}, "unknown"),
+        ({"skills": [1.0, float("nan")], "k": 1}, "finite"),
+        ({"skills": [1.0, float("inf")], "k": 1}, "finite"),
+        ({"skills": [1.0, float("-inf")], "k": 1}, "finite"),
+        ({"skills": [1.0, -0.0], "k": 1}, "positive"),
+        ({"skills": [1.0, 0], "k": 1}, "positive"),
+        ({"skills": [1.0, 2.0], "k": 0}, "k must be positive"),
+        ({"skills": [1.0, 2.0], "k": True}, "k must be an int"),
+        ({"skills": [1.0, 2.0], "k": 2.0}, "k must be an int"),
+        ({"skills": "1.0, 2.0", "k": 1}, "sequence of numbers"),
+        ({"skills": [[1.0, 2.0], [3.0, 4.0]], "k": 1}, "one-dimensional"),
+        ({"skills": [1.0, 2.0], "k": 1, "rate": float("nan")}, "rate"),
+        ({"skills": [1.0, 2.0], "k": 1, "policy": "percentile:p=nan"}, r"p must lie in \[0, 1\]"),
+        ({"skills": [10**400, 2.0], "k": 1}, "finite"),
+        ({"skills": [1.0, 2.0], "k": 1, "rate": 10**400}, "rate"),
     ])
     def test_validation_failures_are_400(self, service, body, fragment):
         with pytest.raises(InvalidRequest, match=fragment):
@@ -114,10 +128,22 @@ class TestAdvance:
 
     def test_invalid_rounds_rejected(self, service, skills):
         cohort = service.create_cohort(payload(skills))["cohort"]
-        with pytest.raises(InvalidRequest):
-            service.advance_rounds(cohort, 0)
-        with pytest.raises(InvalidRequest):
-            service.advance_rounds(cohort, "three")
+        for rounds in (0, -1, True, 2.0, "3", "three"):
+            with pytest.raises(InvalidRequest, match="rounds"):
+                service.advance_rounds(cohort, rounds)
+        assert service.get_cohort(cohort)["rounds"] == 0
+
+    def test_rounds_times_n_is_bounded(self, service):
+        from repro.serve.service import MAX_MEMBER_ROUNDS
+
+        n = 1024
+        cohort = service.create_cohort(
+            {"skills": np.random.default_rng(3).uniform(1.0, 9.0, size=n).tolist(), "k": 2}
+        )["cohort"]
+        with pytest.raises(InvalidRequest, match="member-rounds"):
+            service.advance_rounds(cohort, MAX_MEMBER_ROUNDS // n + 1)
+        assert service.get_cohort(cohort)["rounds"] == 0
+        assert service.advance_rounds(cohort, 2)["rounds"] == 2
 
     def test_unknown_cohort_404(self, service):
         with pytest.raises(CohortNotFound):

@@ -46,6 +46,8 @@ class TestAsSkillArray:
             as_skill_array([1.0, np.nan])
         with pytest.raises(ValueError, match="finite"):
             as_skill_array([1.0, np.inf])
+        with pytest.raises(ValueError, match="finite"):
+            as_skill_array([1.0, 10**400])
 
     def test_rejects_non_numeric(self):
         with pytest.raises((TypeError, ValueError)):
@@ -96,6 +98,12 @@ class TestRequireLearningRate:
     def test_rejects_boundary_and_outside(self, rate):
         with pytest.raises(ValueError):
             require_learning_rate(rate)
+
+    def test_int_too_large_for_a_float_is_a_value_error(self):
+        with pytest.raises(ValueError, match="too large"):
+            require_learning_rate(10**400)
+        with pytest.raises(ValueError, match="too large"):
+            require_probability(10**400, name="p")
 
     def test_rejects_bool_and_str(self):
         with pytest.raises(TypeError):
