@@ -22,15 +22,20 @@ import numpy as np
 
 from repro._validation import (
     require_divisible_groups,
+    require_int_in_range,
     require_learning_rate,
-    require_positive_int,
 )
 from repro.baselines._round_gain import group_gain_sorted
 from repro.core.grouping import Grouping
 from repro.core.interactions import InteractionMode, get_mode
 from repro.core.simulation import GroupingPolicy
 
-__all__ = ["AnnealingGrouping"]
+__all__ = ["MAX_STEPS", "AnnealingGrouping"]
+
+#: Most annealing steps one round may run: the default budget's own cap.
+#: Every step is a Python-level swap, so a served round at this bound
+#: already takes seconds.
+MAX_STEPS = 60_000
 
 
 class _GroupState:
@@ -60,8 +65,8 @@ class AnnealingGrouping(GroupingPolicy):
         mode: interaction mode whose round gain is optimized; must match
             the simulation's mode.
         rate: linear learning rate used for gain scoring.
-        steps: annealing steps per round; ``None`` scales as
-            ``min(30·n, 60_000)``.
+        steps: annealing steps per round, at most :data:`MAX_STEPS`;
+            ``None`` scales as ``min(30·n, MAX_STEPS)``.
         initial_temperature: starting temperature, as a fraction of the
             initial round gain (adaptive scale).
         cooling: geometric cooling factor per step, in (0, 1).
@@ -81,7 +86,7 @@ class AnnealingGrouping(GroupingPolicy):
         self._mode_name = get_mode(mode).name
         self._rate = require_learning_rate(rate)
         if steps is not None:
-            steps = require_positive_int(steps, name="steps")
+            steps = require_int_in_range(steps, name="steps", low=1, high=MAX_STEPS)
         self._steps = steps
         if initial_temperature <= 0:
             raise ValueError(f"initial_temperature must be positive, got {initial_temperature}")
@@ -98,7 +103,7 @@ class AnnealingGrouping(GroupingPolicy):
     def propose(self, skills: np.ndarray, k: int, rng: np.random.Generator) -> Grouping:
         n = len(skills)
         size = require_divisible_groups(n, k)
-        steps = self._steps if self._steps is not None else min(30 * n, 60_000)
+        steps = self._steps if self._steps is not None else min(30 * n, MAX_STEPS)
 
         order = rng.permutation(n)
         states: list[_GroupState] = []

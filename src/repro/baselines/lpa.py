@@ -19,15 +19,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._validation import require_divisible_groups, require_learning_rate, require_positive_int
+from repro._validation import (
+    require_divisible_groups,
+    require_int_in_range,
+    require_learning_rate,
+    require_positive_int,
+)
 from repro.baselines._round_gain import group_gain_sorted
 from repro.core.grouping import Grouping
 from repro.core.interactions import InteractionMode, get_mode
 from repro.core.simulation import GroupingPolicy
 
-__all__ = ["LpaGrouping"]
+__all__ = ["MAX_EVALS", "LpaGrouping"]
 
 _IMPROVEMENT_TOL = 1e-12
+
+#: Most candidate swaps one round may evaluate: the default budget's own
+#: cap.  Every evaluation is a Python-level swap, so this bounds how long
+#: one round (and one served advance) can run.
+MAX_EVALS = 100_000
 
 
 class _GroupState:
@@ -58,8 +68,9 @@ class LpaGrouping(GroupingPolicy):
         mode: interaction mode whose round gain is optimized; must match
             the mode passed to :func:`repro.core.simulation.simulate`.
         rate: linear learning rate used for gain scoring.
-        max_evals: cap on candidate-swap evaluations per round; ``None``
-            scales with the population (``min(20·n, 100_000)``).
+        max_evals: cap on candidate-swap evaluations per round, at most
+            :data:`MAX_EVALS`; ``None`` scales with the population
+            (``min(20·n, MAX_EVALS)``).
         patience: consecutive non-improving evaluations before stopping
             early; ``None`` scales as ``max(500, 2·n)``.
     """
@@ -77,7 +88,7 @@ class LpaGrouping(GroupingPolicy):
         self._mode_name = get_mode(mode).name
         self._rate = require_learning_rate(rate)
         if max_evals is not None:
-            max_evals = require_positive_int(max_evals, name="max_evals")
+            max_evals = require_int_in_range(max_evals, name="max_evals", low=1, high=MAX_EVALS)
         if patience is not None:
             patience = require_positive_int(patience, name="patience")
         self._max_evals = max_evals
@@ -91,7 +102,7 @@ class LpaGrouping(GroupingPolicy):
     def propose(self, skills: np.ndarray, k: int, rng: np.random.Generator) -> Grouping:
         n = len(skills)
         require_divisible_groups(n, k)
-        max_evals = self._max_evals if self._max_evals is not None else min(20 * n, 100_000)
+        max_evals = self._max_evals if self._max_evals is not None else min(20 * n, MAX_EVALS)
         patience = self._patience if self._patience is not None else max(500, 2 * n)
 
         order = rng.permutation(n)

@@ -4,9 +4,9 @@ The serving scheduler (:mod:`repro.serve.scheduler`) stacks concurrent
 same-configuration round steps into waves.  Both ``DYGROUPS-MODE-LOCAL``
 groupers are pure functions of the *descending order* of the skill array
 (Algorithms 2 and 3), so proposing for a wave of ``m`` same-shaped
-cohorts reduces to a single ``(m, n)`` stable argsort — one vectorized
-numpy call instead of ``m`` Python round trips — followed by an index
-gather per row.
+cohorts reduces to a single ``(m, n)`` stable descending order — one
+vectorized numpy sort instead of ``m`` Python round trips — followed by
+an index gather per row.
 
 The pieces, shared by the serving scheduler and the stacked-trial
 simulation engine (:mod:`repro.core.vectorized`):
@@ -21,8 +21,11 @@ simulation engine (:mod:`repro.core.vectorized`):
   ``[g·t, (g+1)·t)``), the layout the batched update kernels consume;
   the grouping memo (:mod:`repro.serve.cache`) groups its misses
   through it.
-* :func:`descending_orders` — the single stable ``(m, n)`` argsort every
-  batched grouper reduces to.
+* :func:`descending_orders` — the single stable ``(m, n)`` descending
+  order every batched grouper reduces to (a SIMD sort plus an exact
+  repair of tie order).
+* :func:`listing_members` — apply a rank listing to those orders,
+  giving the C-ordered ``(m, n)`` members matrix.
 * :func:`as_skills_matrix` — validate/coerce a batch of skill vectors to
   a fresh ``(m, n)`` float64 matrix.
 * :func:`propose_batch` — compose the above and materialize the ``m``
@@ -49,6 +52,7 @@ __all__ = [
     "as_skills_matrix",
     "descending_orders",
     "flat_rank_listing",
+    "listing_members",
     "propose_batch",
     "rank_structure",
     "shared_memory_available",
@@ -117,16 +121,37 @@ def descending_orders(matrix: np.ndarray) -> np.ndarray:
 
     For strictly positive rows (the validated skill domain) the sort runs
     on the IEEE-754 bit patterns instead of the floats: positive doubles
-    order identically to their ``int64`` views, equal values share one
-    bit pattern (no signed zeros in the domain), and numpy's stable sort
-    is a radix sort for integer keys — same permutation, bit for bit,
-    measurably faster per row.  Non-positive or non-finite input falls
-    back to the float sort.
+    order identically to their ``int64`` views, and equal values share one
+    bit pattern (no signed zeros in the domain).  Those keys take numpy's
+    unstable argsort, which is a SIMD sort on CPUs that have one; numpy's
+    stable sort of ``int64`` keys is timsort, several times slower.  The
+    unstable sort may list equal keys out of index order, so an ``O(n)``
+    scan of adjacent sorted keys finds the rows with ties, and only those
+    rows are re-sorted stably — same permutation, bit for bit.
+    Non-positive or non-finite input takes the stable float sort.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    if matrix.size and np.all(matrix > 0.0):
-        return np.argsort(-matrix.view(np.int64), axis=1, kind="stable")
-    return np.argsort(-matrix, axis=1, kind="stable")
+    if not (matrix.size and np.all(matrix > 0.0)):
+        return np.argsort(-matrix, axis=1, kind="stable")
+    keys = -matrix.view(np.int64)
+    orders = np.argsort(keys, axis=1)
+    for row, order in enumerate(orders):
+        sorted_keys = np.take(keys[row], order)
+        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            orders[row] = np.argsort(keys[row], kind="stable")
+    return orders
+
+
+def listing_members(orders: np.ndarray, listing: np.ndarray) -> np.ndarray:
+    """The C-ordered ``(m, n)`` members matrix of a rank listing.
+
+    Row ``i`` is ``orders[i][listing]``: the members of every group, group
+    by group, for trial ``i``.  ``np.take`` keeps the result C-ordered,
+    whereas ``orders[:, listing]`` comes back Fortran-ordered for more
+    than one row, which makes the update kernels' per-row gathers,
+    scatters and group maxima run strided.
+    """
+    return np.take(orders, listing, axis=1)
 
 
 def as_skills_matrix(skills: np.ndarray, *, name: str = "skills") -> np.ndarray:
@@ -320,9 +345,9 @@ def propose_batch(skills: np.ndarray, k: int, mode: str) -> list[Grouping]:
     matrix = as_skills_matrix(skills)
     n = matrix.shape[1]
     listing = flat_rank_listing(n, k, mode)
-    # One stable argsort for the whole batch — the vectorized hot path.
-    orders = descending_orders(matrix)
-    members = orders[:, listing].reshape(matrix.shape[0], k, n // k)
+    # One batched descending order — the vectorized hot path.
+    members = listing_members(descending_orders(matrix), listing)
+    members = members.reshape(matrix.shape[0], k, n // k)
     # Rows are permutations of 0..n-1 (rank listing ∘ sort order), so the
     # trusted constructor can skip the partition checks.
     return [Grouping.from_members(row) for row in members]

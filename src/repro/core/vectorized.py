@@ -8,12 +8,13 @@ vectorized numpy calls:
 
 * both ``DYGROUPS-MODE-LOCAL`` groupers (and the percentile baseline) are
   pure functions of the descending order, so proposing for ``R`` trials is
-  one ``(R, n)`` stable argsort (:func:`repro.core.batch.descending_orders`)
-  plus an index gather;
+  one ``(R, n)`` stable descending order
+  (:func:`repro.core.batch.descending_orders`) plus an index gather;
 * the Star update is a row-wise group-max gather over the ``(R, k, t)``
   member tensor;
-* the Clique update applies Theorem 3's prefix-sum formula to the
-  within-group descending sort of the same tensor.
+* the Clique update applies Theorem 3's prefix-sum formula to the same
+  tensor, whose groups those proposals already list in descending order
+  (other proposals, such as random assignment, are sorted first).
 
 Bit-identity with the scalar engine is a hard design constraint, pinned
 by hypothesis properties in ``tests/properties``: the round step itself
@@ -46,6 +47,7 @@ from repro.core.batch import (
     as_skills_matrix,
     descending_orders,
     flat_rank_listing,
+    listing_members,
     shared_memory_available,
 )
 from repro.core.gain_functions import GainFunction, LinearGain
@@ -122,7 +124,7 @@ class _RankListingPolicy(VectorizedPolicy):
         self, skills: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
         listing = self._listing_for(skills.shape[1], k)
-        return descending_orders(skills)[:, listing]
+        return listing_members(descending_orders(skills), listing)
 
 
 @lru_cache(maxsize=256)

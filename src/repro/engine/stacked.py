@@ -11,8 +11,10 @@ by hypothesis properties in ``tests/properties``: every elementwise
 float operation here is the same operation, on the same operands, as its
 scalar counterpart — gathering values into a different layout does not
 change what is added to what.  Clique tie order matches the scalar
-``np.lexsort((-skills, labels))`` convention via a two-pass stable sort
-(by member index, then by descending value).
+``np.lexsort((-skills, labels))`` convention: DyGroups and percentile
+proposals already list each group in (−value, index) order, which an
+``O(n)`` check confirms, and any other members matrix takes a two-pass
+stable sort (by member index, then by descending value).
 
 The update kernels (:func:`update_star_many`, :func:`update_clique_many`)
 moved here from ``repro.core.vectorized`` so the serving scheduler can
@@ -81,16 +83,26 @@ def update_star_many(
     return out
 
 
+def _groups_in_rank_order(vals: np.ndarray, mem: np.ndarray) -> bool:
+    """Whether every ``(R, k, t)`` group lists its members in (−value, index) order."""
+    ahead, behind = vals[:, :, :-1], vals[:, :, 1:]
+    ordered = (ahead > behind) | ((ahead == behind) & (mem[:, :, :-1] < mem[:, :, 1:]))
+    return bool(np.all(ordered))
+
+
 def update_clique_many(
     skills: np.ndarray, members: np.ndarray, k: int, gain: GainFunction
 ) -> np.ndarray:
     """Batched ``UPDATE-SKILLS-CLIQUE`` (Theorem 3) for linear gains.
 
-    Sorts each group of each trial by descending skill — ties broken by
-    ascending participant index, reproducing the scalar engine's
-    ``np.lexsort((-skills, labels))`` via a two-pass stable sort — then
-    applies the prefix-sum increment ``r·(c_i − i·s_{i+1}) / i`` with the
-    same float operations and operand order as the scalar kernel.
+    Needs each group of each trial in descending skill order — ties broken
+    by ascending participant index, the scalar engine's
+    ``np.lexsort((-skills, labels))`` convention — then applies the
+    prefix-sum increment ``r·(c_i − i·s_{i+1}) / i`` with the same float
+    operations and operand order as the scalar kernel.  DyGroups and
+    percentile proposals already list every group in that order, which an
+    ``O(n)`` check confirms; any other members matrix (``random``, say)
+    is sorted into it with a two-pass stable sort.
 
     Raises:
         ValueError: for a non-linear gain function (no closed form; use
@@ -103,19 +115,15 @@ def update_clique_many(
     trials, n = skills.shape
     mem = members.reshape(trials, k, t)
     vals = np.take_along_axis(skills, members, axis=1).reshape(trials, k, t)
-    # Two-pass stable sort == lexsort((-value, member)): order members
-    # ascending first so the stable by-value pass breaks ties by index.
-    by_index = np.argsort(mem, axis=2, kind="stable")
-    mem = np.take_along_axis(mem, by_index, axis=2)
-    vals = np.take_along_axis(vals, by_index, axis=2)
-    # Positive doubles order identically to their int64 bit views, and the
-    # stable sort on integer keys is radix — same tie-keeping permutation.
-    if vals.size and np.all(vals > 0.0):
-        by_value = np.argsort(-np.ascontiguousarray(vals).view(np.int64), axis=2, kind="stable")
-    else:
+    if not _groups_in_rank_order(vals, mem):
+        # Two-pass stable sort == lexsort((-value, member)): order members
+        # ascending first so the stable by-value pass breaks ties by index.
+        by_index = np.argsort(mem, axis=2, kind="stable")
+        mem = np.take_along_axis(mem, by_index, axis=2)
+        vals = np.take_along_axis(vals, by_index, axis=2)
         by_value = np.argsort(-vals, axis=2, kind="stable")
-    mem = np.take_along_axis(mem, by_value, axis=2)
-    vals = np.take_along_axis(vals, by_value, axis=2)
+        mem = np.take_along_axis(mem, by_value, axis=2)
+        vals = np.take_along_axis(vals, by_value, axis=2)
     increment = np.zeros_like(vals)
     if t > 1:
         prefix = np.cumsum(vals, axis=2)

@@ -59,9 +59,9 @@ class GroupSpec:
         policy: registry :class:`~repro.registry.PolicySpec` string.
         mode: interaction mode (``"star"`` or ``"clique"``).
         rate: learning rate in (0, 1).
-        seed: base seed; the ``i``-th cohort condensed from this spec is
-            created with ``seed + i`` so matched cohorts are exactly
-            reproducible offline.
+        seed: non-negative base seed; the ``i``-th cohort condensed from
+            this spec is created with ``seed + i`` so matched cohorts are
+            exactly reproducible offline.
         min_fill: smallest cohort a deadline flush may condense
             (multiple of ``k`` in ``[2*k, n]``; default ``2*k``, the
             smallest size that still gives every group two members).  A
@@ -98,8 +98,8 @@ class GroupSpec:
         PolicySpec.parse(self.policy)
         get_mode(self.mode)
         require_learning_rate(self.rate)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
         _require_positive_number(self.deadline_seconds, name="deadline_seconds")
         for bound in ("min_fill", "max_fill"):
             value = getattr(self, bound)

@@ -97,27 +97,26 @@ class _Handler(BaseHTTPRequestHandler):
             raise InvalidRequest(f"request body is not valid JSON: {error}") from error
 
     def _respond(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self._status = status
+        """Stage a JSON response; :meth:`_handle` sends it once it is counted."""
+        self._respond_text(status, json.dumps(payload), content_type="application/json")
 
     def _respond_text(self, status: int, text: str, *, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        """Stage a response; :meth:`_handle` sends it once it is counted."""
         self._status = status
+        self._body = text.encode()
+        self._content_type = content_type
+
+    def _send(self) -> None:
+        """Write the staged response: the header block, then the body."""
+        self.send_response(self._status)
+        self.send_header("Content-Type", self._content_type)
+        self.send_header("Content-Length", str(len(self._body)))
+        self.end_headers()
+        self.wfile.write(self._body)
 
     # -- request dispatch --------------------------------------------------
 
     def _handle(self, method: str) -> None:
-        self._status = 500
         registry = _obs.metrics_registry()
         registry.counter("serve.http.requests").inc()
         timer = registry.timer("serve.http.request_seconds", keep=REQUEST_HISTOGRAM_KEEP)
@@ -133,13 +132,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(
                 500, {"error": {"code": "internal_error", "message": str(error)}}
             )
-        finally:
-            registry.counter(f"serve.http.status.{self._status // 100}xx").inc()
-            state = _obs.state()
-            if state is not None and state.journal is not None:
-                state.journal.emit(
-                    "http_request", method=method, path=path, status=self._status
-                )
+        # Count the request before its response leaves: a client holding
+        # the response must find it in the next /metrics snapshot.
+        registry.counter(f"serve.http.status.{self._status // 100}xx").inc()
+        state = _obs.state()
+        if state is not None and state.journal is not None:
+            state.journal.emit("http_request", method=method, path=path, status=self._status)
+        self._send()
 
     def _route(self, method: str, path: str) -> None:
         if method == "GET" and path == "/healthz":

@@ -199,8 +199,8 @@ class GroupingService:
         default, or ``"clique"``), ``rate`` (learning rate in (0, 1),
         default 0.5), ``policy`` (any registered name or typed spec
         string like ``"percentile:p=0.9"``, default ``"dygroups"``),
-        ``seed`` (int, default 0), ``record_history`` (bool, default
-        false).
+        ``seed`` (non-negative int, default 0), ``record_history``
+        (bool, default false).
 
         Raises:
             InvalidRequest: on any validation failure.
@@ -221,6 +221,8 @@ class GroupingService:
             seed_raw = _field(payload, "seed", 0)
             if isinstance(seed_raw, bool) or not isinstance(seed_raw, int):
                 raise TypeError(f"seed must be an int, got {type(seed_raw).__name__}")
+            if seed_raw < 0:
+                raise ValueError(f"seed must be non-negative, got {seed_raw}")
             seed = int(seed_raw)
             record_history = bool(_field(payload, "record_history", False))
             spec = PolicySpec.parse(str(_field(payload, "policy", "dygroups")))

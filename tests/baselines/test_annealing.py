@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.annealing import AnnealingGrouping
+from repro.baselines.annealing import MAX_STEPS, AnnealingGrouping
 from repro.core.gain_functions import LinearGain
 from repro.core.interactions import Clique, Star
 from repro.core.local import dygroups_clique_local, dygroups_star_local
@@ -63,6 +63,10 @@ class TestAnnealingGrouping:
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
             AnnealingGrouping("star", 0.5, steps=0)
+        with pytest.raises(ValueError, match="steps must be in"):
+            AnnealingGrouping("star", 0.5, steps=MAX_STEPS + 1)
+        with pytest.raises(ValueError, match="steps must be in"):
+            AnnealingGrouping("star", 0.5, steps=10**30)
         with pytest.raises(ValueError):
             AnnealingGrouping("star", 0.5, initial_temperature=0.0)
         with pytest.raises(ValueError):

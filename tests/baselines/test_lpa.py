@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines._round_gain import clique_gain_sorted, sorted_desc, star_gain_sorted
-from repro.baselines.lpa import LpaGrouping
+from repro.baselines.lpa import MAX_EVALS, LpaGrouping
 from repro.core.gain_functions import LinearGain
 from repro.core.grouping import Group
 from repro.core.interactions import Clique, Star
@@ -90,6 +90,10 @@ class TestLpaGrouping:
     def test_budget_parameters_validated(self):
         with pytest.raises(ValueError):
             LpaGrouping("star", 0.5, max_evals=0)
+        with pytest.raises(ValueError, match="max_evals must be in"):
+            LpaGrouping("star", 0.5, max_evals=MAX_EVALS + 1)
+        with pytest.raises(ValueError, match="max_evals must be in"):
+            LpaGrouping("star", 0.5, max_evals=10**30)
         with pytest.raises(ValueError):
             LpaGrouping("star", 0.5, patience=-1)
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.matchmaking.spec import DEFAULT_SPEC_NAME, GroupSpec
+from repro.serve import GroupingService, ServeConfig
 
 
 class TestValidation:
@@ -39,6 +40,18 @@ class TestValidation:
     def test_bad_deadline_rejected(self, deadline):
         with pytest.raises(ValueError):
             GroupSpec(deadline_seconds=deadline)
+
+    @pytest.mark.parametrize("seed", [-1, -3, 2.5, "7", True, None])
+    def test_bad_seeds_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            GroupSpec(seed=seed)
+
+    def test_service_refuses_a_negative_seed_at_start(self):
+        # The i-th cohort is created with seed + i, and numpy rejects a
+        # negative seed: such a spec could never condense a cohort.
+        config = ServeConfig(workers=0, matchmaking={"specs": [{"n": 4, "k": 2, "seed": -3}]})
+        with pytest.raises(ValueError, match="seed"):
+            GroupingService(config)
 
     def test_fill_bounds_must_be_multiples_of_k(self):
         with pytest.raises(ValueError, match="multiple of k"):

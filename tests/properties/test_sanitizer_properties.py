@@ -10,6 +10,9 @@ numbers.
 
 from __future__ import annotations
 
+from datetime import datetime
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,14 +51,30 @@ def served_workloads(draw, max_cohorts: int = 3, max_k: int = 3, max_group_size:
     return cohorts
 
 
+class _FrozenWallClock(datetime):
+    """A ``datetime`` whose ``now`` stands still.
+
+    ``created_utc`` is stamped to the second, so two runs of one workload
+    would otherwise disagree whenever a second boundary falls between them.
+    """
+
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2026, 1, 1, tzinfo=tz)
+
+
 def _run_workload(cohorts) -> tuple[list, dict]:
     """One full service run; returns (observable outputs, metrics snapshot)."""
     runtime.shutdown()
     runtime.metrics_registry().reset()
     outputs = []
-    # workers=0 → inline advancement: the only nondeterminism left would be
-    # whatever instrumentation injects, which is exactly what's under test.
-    with GroupingService(ServeConfig(workers=0)) as service:
+    # workers=0 → inline advancement and a frozen display clock: the only
+    # nondeterminism left would be whatever instrumentation injects, which
+    # is exactly what's under test.
+    with (
+        mock.patch("repro.serve.sessions.datetime", _FrozenWallClock),
+        GroupingService(ServeConfig(workers=0)) as service,
+    ):
         for spec in cohorts:
             payload = {k: spec[k] for k in ("skills", "k", "mode", "seed")}
             created = service.create_cohort(payload)

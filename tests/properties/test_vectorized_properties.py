@@ -10,6 +10,12 @@ rank by participant index) is exercised on nearly every example, and the
 batched kernel is additionally pinned against the naive ``O(t²)``
 pairwise reference.  The :meth:`Clique.group_gain` prefix-sum fast path
 is pinned against its retained loop reference as well.
+
+The round step's shortcuts are pinned on their own: the batched
+descending order (an unstable sort plus a tie repair) equals numpy's
+stable argsort on tie-heavy, mixed and subnormal rows; the Clique update
+gives the same skills whether or not a proposal's groups arrive already
+sorted; and rank-listing proposals come back C-ordered.
 """
 
 from __future__ import annotations
@@ -22,13 +28,22 @@ from hypothesis import strategies as st
 from repro.baselines.percentile import PercentilePartitions
 from repro.baselines.random_assignment import RandomAssignment
 from repro.baselines.static import StaticPolicy
+from repro.core.batch import descending_orders
 from repro.core.dygroups import DyGroupsClique, DyGroupsStar
 from repro.core.gain_functions import LinearGain
 from repro.core.grouping import Grouping
 from repro.core.interactions import Clique
 from repro.core.simulation import simulate
 from repro.core.update import update_clique_naive, update_star_naive
-from repro.core.vectorized import simulate_many, update_clique_many, update_star_many
+from repro.core.vectorized import (
+    simulate_many,
+    update_clique_many,
+    update_star_many,
+    vectorize_policy,
+)
+
+_POSITIVE = st.floats(min_value=0.01, max_value=100.0, allow_nan=False, allow_infinity=False)
+_SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2e-308)
 
 
 @st.composite
@@ -38,13 +53,7 @@ def batch_instances(draw, max_group_size: int = 5, max_k: int = 4, max_trials: i
     size = draw(st.integers(min_value=2, max_value=max_group_size))
     trials = draw(st.integers(min_value=1, max_value=max_trials))
     n = k * size
-    values = draw(
-        st.lists(
-            st.floats(min_value=0.01, max_value=100.0, allow_nan=False, allow_infinity=False),
-            min_size=trials * n,
-            max_size=trials * n,
-        )
-    )
+    values = draw(st.lists(_POSITIVE, min_size=trials * n, max_size=trials * n))
     skills = np.asarray(values, dtype=np.float64).reshape(trials, n)
     rate = draw(st.floats(min_value=0.05, max_value=0.95))
     seeds = [draw(st.integers(min_value=0, max_value=2**31 - 1)) for _ in range(trials)]
@@ -147,3 +156,58 @@ def test_clique_group_gain_fast_path_matches_loop_reference(instance):
         reference = clique._group_gain_reference(row, group, gain)
         np.testing.assert_allclose(fast, reference, rtol=1e-9, atol=1e-12)
         assert fast >= 0.0
+
+
+@st.composite
+def order_matrices(draw, max_trials: int = 4, max_n: int = 40):
+    """``(R, n)`` positive rows, each tie-free, tie-heavy, mixed or subnormal."""
+    trials = draw(st.integers(min_value=1, max_value=max_trials))
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rows = []
+    for _ in range(trials):
+        levels = draw(st.lists(st.one_of(_POSITIVE, _SUBNORMAL), min_size=1, max_size=3))
+        tied = st.sampled_from(levels)
+        element = draw(
+            st.sampled_from([_POSITIVE, _SUBNORMAL, tied, st.one_of(tied, _POSITIVE, _SUBNORMAL)])
+        )
+        rows.append(draw(st.lists(element, min_size=n, max_size=n)))
+    return np.asarray(rows, dtype=np.float64)
+
+
+@given(matrix=order_matrices())
+@settings(max_examples=200, deadline=None)
+def test_descending_orders_equal_stable_argsort(matrix):
+    assert np.array_equal(descending_orders(matrix), np.argsort(-matrix, axis=1, kind="stable"))
+
+
+def test_descending_orders_repair_ties_in_large_rows():
+    n = 200_000
+    rng = np.random.default_rng(11)
+    tied = rng.integers(1, 100_000, size=n).astype(np.float64)
+    assert np.unique(tied).size < n
+    matrix = np.vstack([tied, rng.lognormal(1.0, 0.5, size=n), np.floor(tied / 50.0) + 1.0])
+    assert np.array_equal(descending_orders(matrix), np.argsort(-matrix, axis=1, kind="stable"))
+
+
+@pytest.mark.parametrize("policy", [DyGroupsClique(), PercentilePartitions(0.75)])
+@given(instance=st.one_of(batch_instances(), tied_batch_instances()))
+@settings(max_examples=40, deadline=None)
+def test_clique_update_ignores_member_order_within_groups(policy, instance):
+    skills, k, rate, seeds = instance
+    trials, n = skills.shape
+    members = vectorize_policy(policy).propose_many(skills, k, [])
+    grouped = members.reshape(trials, k, n // k)
+    shuffled = np.random.default_rng(seeds[0]).permuted(grouped, axis=2).reshape(trials, n)
+    gain = LinearGain(rate)
+    sorted_groups = update_clique_many(skills, members, k, gain)
+    assert np.array_equal(sorted_groups, update_clique_many(skills, shuffled, k, gain))
+
+
+@pytest.mark.parametrize(
+    "policy", [DyGroupsStar(), DyGroupsClique(), PercentilePartitions(0.75)]
+)
+@pytest.mark.parametrize("trials", [2, 5])
+def test_rank_listing_proposals_are_c_ordered(policy, trials):
+    skills = np.random.default_rng(3).lognormal(1.0, 0.5, size=(trials, 60))
+    members = vectorize_policy(policy).propose_many(skills, 5, [])
+    assert members.flags.c_contiguous

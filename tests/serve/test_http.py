@@ -10,6 +10,7 @@ import pytest
 
 from repro.baselines.registry import make_policy
 from repro.core.simulation import simulate
+from repro.obs import runtime
 from repro.serve import (
     CohortNotFound,
     GroupingService,
@@ -32,6 +33,27 @@ def server():
 @pytest.fixture
 def client(server):
     return HttpClient(server.url, timeout=30.0)
+
+
+class _CountingWriter:
+    """A handler's ``wfile`` that notes the request metrics at every write."""
+
+    def __init__(self, raw, seen: list) -> None:
+        self._raw = raw
+        self._seen = seen
+
+    def write(self, data: bytes) -> int:
+        snapshot = runtime.metrics_registry().snapshot()
+        self._seen.append(
+            (
+                snapshot["timers"]["serve.http.request_seconds"]["count"],
+                snapshot["counters"]["serve.http.status.2xx"]["value"],
+            )
+        )
+        return self._raw.write(data)
+
+    def __getattr__(self, name: str):
+        return getattr(self._raw, name)
 
 
 class TestEndToEnd:
@@ -85,6 +107,21 @@ class TestOperationalEndpoints:
         assert counters["serve.rounds.advanced"]["value"] == 3
         assert "serve.cache.hits" in counters or "serve.cache.misses" in counters
         assert snapshot["timers"]["serve.http.request_seconds"]["count"] >= 3
+
+    def test_request_is_counted_before_its_response_is_written(self, server, client):
+        client.healthz()
+        seen: list = []
+
+        class Probe(server.RequestHandlerClass):
+            def setup(self) -> None:
+                super().setup()
+                self.wfile = _CountingWriter(self.wfile, seen)
+
+        server.RequestHandlerClass = Probe
+        client.healthz()
+        # The header block and the body each leave after the second
+        # request is already in the timer and the status counter.
+        assert seen == [(2, 2), (2, 2)]
 
     def test_metrics_exposes_gauges(self, client):
         info = client.create_cohort([1.0, 2.0, 3.0, 4.0], 2)

@@ -75,6 +75,9 @@ class TestCreateCohort:
         ({"skills": [1.0, 2.0], "k": 1, "policy": "percentile:p=nan"}, r"p must lie in \[0, 1\]"),
         ({"skills": [10**400, 2.0], "k": 1}, "finite"),
         ({"skills": [1.0, 2.0], "k": 1, "rate": 10**400}, "rate"),
+        ({"skills": [1.0, 2.0], "k": 1, "seed": -1}, "seed must be non-negative"),
+        ({"skills": [1.0, 2.0], "k": 1, "policy": "annealing:steps=60001"}, "steps"),
+        ({"skills": [1.0, 2.0], "k": 1, "policy": "lpa:max_evals=100001"}, "max_evals"),
     ])
     def test_validation_failures_are_400(self, service, body, fragment):
         with pytest.raises(InvalidRequest, match=fragment):
