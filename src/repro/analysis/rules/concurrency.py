@@ -1,7 +1,7 @@
 """DYG4xx — concurrency rules.
 
 The serve and scenario layers are threaded: session stores, grouping
-memos, micro-batching schedulers, and load generators all guard shared
+memos, matchmakers, and load generators all guard shared
 state with locks, and the correctness of that guarding used to rest on
 convention alone.  These rules prove the conventions at lint time, the
 same way ``DYG1xx`` proves seeded-RNG threading:
@@ -13,12 +13,12 @@ same way ``DYG1xx`` proves seeded-RNG threading:
   ``__post_init__`` are exempt (no concurrent access before the object
   escapes), as are methods ending in ``_locked`` (the repo's
   caller-holds-the-lock convention) and methods that manage the lock
-  manually through ``.acquire()`` (the scheduler's sorted wave);
+  manually through ``.acquire()`` (sorted multi-lock acquisition);
 * ``DYG402`` — lock-ordering cycles: nested ``with`` blocks over
   lock-named objects build a per-module acquisition graph; an edge that
-  closes a cycle is a deadlock shape.  The scheduler's sorted-lock wave
-  (same-name locks acquired in session-id order via ``.acquire()``) is
-  the sanctioned idiom and invisible to this rule by construction — the
+  closes a cycle is a deadlock shape.  Sorted acquisition (same-name
+  locks acquired in ascending key order via ``.acquire()``) is the
+  sanctioned idiom and invisible to this rule by construction — the
   runtime sanitizer checks its rank discipline instead;
 * ``DYG403`` — blocking call while holding a lock: ``queue.get``,
   ``subprocess``, ``time.sleep``, socket/HTTP waits, ``future.result``
@@ -173,9 +173,8 @@ class UnguardedSharedStateRule(Rule):
     ) -> bool:
         """Whether the method calls ``self.<lock>.acquire()`` explicitly.
 
-        Manual acquire/release (the scheduler's sorted session-lock wave)
-        cannot be region-tracked statically; the runtime sanitizer owns
-        that case.
+        Manual acquire/release (sorted multi-lock acquisition) cannot be
+        region-tracked statically; the runtime sanitizer owns that case.
         """
         for node in ast.walk(method):
             if (
@@ -310,7 +309,7 @@ class LockOrderingCycleRule(Rule):
     code = "DYG402"
     name = "lock-ordering-cycle"
     summary = "nested `with` lock acquisitions form an ordering cycle (deadlock shape)"
-    fix = "acquire locks in one global order everywhere (sort them, like the scheduler's session-id waves)"
+    fix = "acquire locks in one global order everywhere (sort them by a total-order key)"
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         walker = _walker(ctx)

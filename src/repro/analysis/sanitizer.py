@@ -11,12 +11,13 @@ acquisition stacks and reports two bug classes as they happen:
   B (ever) acquires ``y`` then ``x``.  Detected on a *name-level*
   acquisition graph: every ``outer → inner`` acquisition adds an edge,
   and an edge that closes a cycle is reported at the site that closed
-  it.  The scheduler's sorted-wave idiom — many same-name session locks
-  taken in ascending session-id order — is sanctioned through ``rank``:
+  it.  The sorted-acquisition idiom — many same-name per-item locks
+  taken in ascending key order — is sanctioned through ``rank``:
   same-name acquisitions are legal exactly when every nested acquisition
-  carries a strictly increasing rank.
+  carries a strictly increasing rank.  Locks built without a rank may
+  not nest under their own name at all.
 * **blocking calls under a lock** — instrumented blocking sites
-  (:func:`check_blocking` markers at ``queue.get``, ``future.result``,
+  (:func:`check_blocking` markers at pool results, thread joins,
   load-generator sleeps) report when the calling thread holds *any*
   sanitized lock.
 
@@ -171,8 +172,9 @@ def _check_order(acquiring: "SanitizedLock", site: str) -> None:
         return
     same_name = [held for held in stack if held.name == acquiring.name]
     if same_name:
-        # Same-name nesting is legal only as the sorted-wave idiom:
-        # every nested acquisition carries a strictly increasing rank.
+        # Same-name nesting is legal only as the sorted-acquisition
+        # idiom: every nested acquisition carries a strictly increasing
+        # rank.
         ranked = all(held.rank is not None for held in same_name)
         if not ranked or acquiring.rank is None or any(
             not held.rank < acquiring.rank for held in same_name  # type: ignore[operator]
@@ -181,7 +183,7 @@ def _check_order(acquiring: "SanitizedLock", site: str) -> None:
                 "order_inversion",
                 EVENT_ORDER_INVERSION,
                 f"same-name lock {acquiring.name!r} acquired while already "
-                "held without a strictly increasing rank (sorted-wave "
+                "held without a strictly increasing rank (sorted "
                 f"acquisitions must pass rank=...) at {site}",
                 dedup=f"{acquiring.name}@{site}",
                 lock=acquiring.name,
@@ -293,9 +295,9 @@ def lock(name: str, *, rank: "Any | None" = None) -> Any:
     Args:
         name: the detector's node label; every lock guarding the same
             shared structure should share one name.
-        rank: total-order key sanctioning same-name nesting (the
-            scheduler passes the session id, matching its sorted-wave
-            acquisition order).
+        rank: total-order key sanctioning same-name nesting: code that
+            holds several same-name locks at once acquires them in
+            ascending rank order.
 
     Returns:
         A bare ``threading.Lock`` when the sanitizer is off (zero

@@ -15,8 +15,8 @@ Subcommands:
 * ``trace`` — observability tooling (``trace summarize <journal.jsonl>``
   prints a per-phase timing table from a journal);
 * ``serve`` — the grouping service: a long-running HTTP JSON API over
-  the session store, grouping memo, and micro-batching scheduler of
-  :mod:`repro.serve` (see docs/serving.md); ``--slo TARGET=LIMIT``
+  the session store and grouping memo of :mod:`repro.serve` (see
+  docs/serving.md); ``--slo TARGET=LIMIT``
   surfaces live SLO verdicts on ``GET /metrics``; ``--matchmaking``
   (with optional repeatable ``--matchmaking-spec k=v,...``) enables the
   streaming admission layer (see docs/matchmaking.md);
@@ -244,25 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8750, help="TCP port; 0 picks an ephemeral port"
     )
     serve.add_argument(
-        "--workers", type=int, default=2,
-        help="scheduler worker threads; 0 computes proposals inline",
-    )
-    serve.add_argument(
         "--cache-size", type=int, default=1024,
         help="grouping-memo entries; 0 disables the cache",
     )
     serve.add_argument(
         "--session-ttl", type=float, default=1800.0,
         help="seconds of inactivity before a cohort is evicted",
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=256,
-        help="bounded propose-queue depth (requests beyond it get 429)",
-    )
-    serve.add_argument(
-        "--batch-min", type=int, default=4,
-        help="smallest same-shape backlog worth stacking into one wave; "
-        "smaller backlogs fall through to the inline kernel (int >= 2)",
     )
     serve.add_argument(
         "--slo",
@@ -678,11 +665,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         cache_size=args.cache_size,
         session_ttl=args.session_ttl,
-        queue_depth=args.queue_depth,
-        batch_min=args.batch_min,
         slo=slo,
         matchmaking=matchmaking,
     )

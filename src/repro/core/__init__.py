@@ -10,7 +10,8 @@ Contents:
 * :mod:`repro.core.objective` — LG, the telescoped objective, b-distances;
 * :mod:`repro.core.simulation` — the α-round engine and policy protocol;
 * :mod:`repro.core.dygroups` — the DyGroups driver (Algorithm 1);
-* :mod:`repro.core.batch` — vectorized batch propose path (serving layer);
+* :mod:`repro.core.batch` — batched DyGroups proposals and the shared-memory
+  skill-matrix transport;
 * :mod:`repro.core.vectorized` — the stacked-trial engine (``R`` trials
   advance per round through batched kernels, bit-identical to scalar).
 """
@@ -20,7 +21,6 @@ from repro.core.batch import (
     as_skills_matrix,
     descending_orders,
     flat_rank_listing,
-    propose_batch,
     rank_structure,
 )
 from repro.core.dygroups import DyGroupsClique, DyGroupsStar, dygroups, dygroups_policy
@@ -76,7 +76,6 @@ __all__ = [
     "as_skills_matrix",
     "descending_orders",
     "flat_rank_listing",
-    "propose_batch",
     "rank_structure",
     "ENGINES",
     "BatchSimulationResult",

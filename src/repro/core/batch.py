@@ -1,15 +1,15 @@
-"""Batch-friendly propose path for the DyGroups round-local groupers.
+"""Batched DyGroups proposals and the shared-memory skill-matrix transport.
 
-The serving scheduler (:mod:`repro.serve.scheduler`) stacks concurrent
-same-configuration round steps into waves.  Both ``DYGROUPS-MODE-LOCAL``
-groupers are pure functions of the *descending order* of the skill array
-(Algorithms 2 and 3), so proposing for a wave of ``m`` same-shaped
-cohorts reduces to a single ``(m, n)`` stable descending order — one
-vectorized numpy sort instead of ``m`` Python round trips — followed by
-an index gather per row.
+Both ``DYGROUPS-MODE-LOCAL`` groupers are pure functions of the
+*descending order* of the skill array (Algorithms 2 and 3), so proposing
+for ``m`` same-shaped skill vectors reduces to a single ``(m, n)`` stable
+descending order — one vectorized numpy sort instead of ``m`` Python
+round trips — followed by an index gather per row.
 
-The pieces, shared by the serving scheduler and the stacked-trial
-simulation engine (:mod:`repro.core.vectorized`):
+The pieces, used by the stacked-trial simulation engine
+(:mod:`repro.core.vectorized`), the scalar groupers
+(:mod:`repro.core.local`) and the serving layer's grouping memo
+(:mod:`repro.serve.cache`):
 
 * :func:`rank_structure` — the grouper's output expressed over *ranks*
   (position in the descending order) rather than member indices.  For a
@@ -19,8 +19,7 @@ simulation engine (:mod:`repro.core.vectorized`):
 * :func:`flat_rank_listing` — the same structure flattened to one
   ``(n,)`` index array (group ``g`` occupies the contiguous slice
   ``[g·t, (g+1)·t)``), the layout the batched update kernels consume;
-  the grouping memo (:mod:`repro.serve.cache`) groups its misses
-  through it.
+  the grouping memo groups its misses through it.
 * :func:`descending_orders` — the single stable ``(m, n)`` descending
   order every batched grouper reduces to (a SIMD sort plus an exact
   repair of tie order).
@@ -28,13 +27,14 @@ simulation engine (:mod:`repro.core.vectorized`):
   giving the C-ordered ``(m, n)`` members matrix.
 * :func:`as_skills_matrix` — validate/coerce a batch of skill vectors to
   a fresh ``(m, n)`` float64 matrix.
-* :func:`propose_batch` — compose the above and materialize the ``m``
-  groupings.
+* :class:`SharedMatrix` — the zero-pickle transport that ships stacked
+  skill matrices to the worker pool.
 
 Bit-identity with the scalar groupers is guaranteed (and pinned by
-tests): ``propose_batch(S, k, mode)[i]`` lists exactly the same members
-in exactly the same order as ``dygroups_star_local(S[i], k)`` /
-``dygroups_clique_local(S[i], k)``.
+tests): row ``i`` of ``listing_members(descending_orders(S),
+flat_rank_listing(n, k, mode))``, cut into ``k`` consecutive groups,
+lists exactly the same members in exactly the same order as
+``dygroups_star_local(S[i], k)`` / ``dygroups_clique_local(S[i], k)``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro._validation import require_divisible_groups
-from repro.core.grouping import Grouping
 
 __all__ = [
     "BATCH_MODES",
@@ -53,7 +52,6 @@ __all__ = [
     "descending_orders",
     "flat_rank_listing",
     "listing_members",
-    "propose_batch",
     "rank_structure",
     "shared_memory_available",
 ]
@@ -322,32 +320,3 @@ def shared_memory_available() -> bool:
     finally:
         probe.close()
         probe.unlink()
-
-
-def propose_batch(skills: np.ndarray, k: int, mode: str) -> list[Grouping]:
-    """Run the DyGroups-Local grouper over a batch of skill vectors.
-
-    Args:
-        skills: ``(m, n)`` matrix — one request per row (a single 1-D
-            vector is treated as a batch of one).
-        k: number of groups; must divide ``n``.
-        mode: ``"star"`` or ``"clique"``.
-
-    Returns:
-        One :class:`~repro.core.grouping.Grouping` per row, bit-identical
-        to the scalar grouper applied to that row.
-
-    Raises:
-        TypeError: if ``skills`` is not numeric.
-        ValueError: on invalid shapes, non-positive values, a ``k`` that
-            does not divide ``n``, or a non-batchable mode.
-    """
-    matrix = as_skills_matrix(skills)
-    n = matrix.shape[1]
-    listing = flat_rank_listing(n, k, mode)
-    # One batched descending order — the vectorized hot path.
-    members = listing_members(descending_orders(matrix), listing)
-    members = members.reshape(matrix.shape[0], k, n // k)
-    # Rows are permutations of 0..n-1 (rank listing ∘ sort order), so the
-    # trusted constructor can skip the partition checks.
-    return [Grouping.from_members(row) for row in members]

@@ -11,9 +11,9 @@ runner's fallbacks).  This package is the single implementation:
   carrying the observability spans, journal events, metrics, and
   runtime-contract hooks exactly once;
 * :mod:`repro.engine.stacked` — the batched counterpart: one
-  ``(R, n)`` round step advancing a whole stack of trials (or a whole
-  wave of served cohorts) with a handful of vectorized numpy calls,
-  plus the batched Star/Clique update kernels;
+  ``(R, n)`` round step advancing a whole stack of trials with a
+  handful of vectorized numpy calls, plus the batched Star/Clique
+  update kernels;
 * :func:`~repro.engine.select.select_engine` — the one place that
   decides whether a ``(policy, mode, gain)`` combination runs the
   scalar or the vectorized path.
@@ -30,7 +30,6 @@ from repro.engine.kernel import RoundKernel, StepOutcome
 from repro.engine.select import select_engine
 from repro.engine.stacked import (
     StackedRoundKernel,
-    grouping_to_members,
     update_clique_many,
     update_star_many,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "RoundKernel",
     "StackedRoundKernel",
     "StepOutcome",
-    "grouping_to_members",
     "select_engine",
     "update_clique_many",
     "update_star_many",

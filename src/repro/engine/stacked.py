@@ -1,10 +1,9 @@
 """The stacked round-step kernel and the batched skill-update kernels.
 
 The batched counterpart of :mod:`repro.engine.kernel`: one
-:meth:`StackedRoundKernel.step` advances ``R`` independent trials (or a
-wave of same-configuration served cohorts) by one round with a handful
-of vectorized numpy calls — one ``(R, n)`` proposal, one batched update,
-one row-wise gain reduction.
+:meth:`StackedRoundKernel.step` advances ``R`` independent trials by one
+round with a handful of vectorized numpy calls — one ``(R, n)``
+proposal, one batched update, one row-wise gain reduction.
 
 Bit-identity with the scalar kernel is a hard design constraint, pinned
 by hypothesis properties in ``tests/properties``: every elementwise
@@ -17,9 +16,8 @@ proposals already list each group in (−value, index) order, which an
 stable sort (by member index, then by descending value).
 
 The update kernels (:func:`update_star_many`, :func:`update_clique_many`)
-moved here from ``repro.core.vectorized`` so the serving scheduler can
-batch full round steps without importing the simulation driver; the old
-module re-exports them for compatibility.
+live here beside the kernel that calls them; ``repro.core.vectorized``
+re-exports them for compatibility.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import numpy as np
 from repro._validation import require_divisible_groups
 from repro.analysis import contracts as _contracts
 from repro.core.gain_functions import GainFunction
-from repro.core.grouping import Grouping
 from repro.core.interactions import InteractionMode, get_mode
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
@@ -46,7 +43,6 @@ __all__ = [
     "StackedStepOutcome",
     "apply_update_many",
     "check_members_are_permutations",
-    "grouping_to_members",
     "update_clique_many",
     "update_star_many",
 ]
@@ -148,23 +144,6 @@ def apply_update_many(
     if mode.name == "clique":
         return update_clique_many(skills, members, k, gain)
     raise ValueError(f"mode {mode.name!r} has no batched skill update")
-
-
-def grouping_to_members(grouping: Grouping) -> np.ndarray:
-    """Flatten a grouping to the stacked members layout.
-
-    Group ``g`` occupies the contiguous slice ``[g·t, (g+1)·t)`` of the
-    returned ``(n,)`` index array, members in the grouping's own order —
-    exactly the row layout :func:`update_star_many` /
-    :func:`update_clique_many` consume, so a served cohort's cached
-    grouping feeds the batched update without re-deriving ranks.
-
-    :class:`~repro.core.grouping.Grouping` guarantees equal-sized groups
-    that tile ``0 … n−1``, so one rectangular ``np.array`` over the group
-    tuples replaces the per-group asarray + concatenate round-trip — the
-    flat twin of the ``Grouping.from_members`` fast path.
-    """
-    return np.array(tuple(grouping), dtype=np.intp).reshape(-1)
 
 
 def check_members_are_permutations(members: np.ndarray) -> None:

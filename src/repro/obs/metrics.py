@@ -54,7 +54,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (queue depth, in-flight waves).
+    """A value that can go up and down (queue depth, live sessions).
 
     Unlike a :class:`Counter` a gauge is *instantaneous* state, not an
     accumulation: ``set`` overwrites, ``inc``/``dec`` adjust, and the

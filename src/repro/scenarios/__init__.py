@@ -7,7 +7,7 @@ way to declare "a workload" and run it everywhere:
 * **spec** (:mod:`repro.scenarios.spec`) — a JSON-round-trippable
   :class:`ScenarioSpec`: arrival pattern (closed-loop, Poisson, burst),
   population model, policy, round count, and SLO targets, plus a small
-  built-in catalog (``smoke``, ``fig05b-rate``, ``saturation-probe``);
+  built-in catalog (``smoke``, ``fig05b-rate``, ``streaming-smoke``);
 * **loadgen** (:mod:`repro.scenarios.loadgen`) — a deterministic
   open-loop load generator: seeded arrival schedules precomputed up
   front, latencies measured from the *intended* send time so queueing

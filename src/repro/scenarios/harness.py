@@ -24,10 +24,10 @@ docs/matchmaking.md).
 :func:`compare_scenario` drives the same scenario through each paradigm
 under the same seeded arrival schedule and asserts the produced
 groupings are **bit-identical** — the serving layer's central
-correctness claim, checked end to end.  Under deliberate saturation
-some round-advance requests are rejected (429), so the identity check
-compares the rounds *jointly played* in every paradigm; a scenario that
-played no comparable round at all fails the check.
+correctness claim, checked end to end.  A round-advance request that
+fails records no round, so the identity check compares the rounds
+*jointly played* in every paradigm; a scenario that played no
+comparable round at all fails the check.
 
 The harness owns the process-global metrics registry while it runs:
 each paradigm starts from :meth:`MetricsRegistry.reset` so its
@@ -88,8 +88,6 @@ SCENARIO_ARTIFACT_SCHEMA = 1
 #: Serve-side stage series included in artifacts (absent for ``cli``,
 #: whose work happens in child processes).
 _STAGE_SERIES = {
-    "queue_wait": "serve.scheduler.wait_seconds",
-    "batch_assembly": "serve.scheduler.batch_assembly_seconds",
     "kernel_step": "serve.scheduler.kernel_seconds",
     "http_request": "serve.http.request_seconds",
 }
@@ -115,7 +113,7 @@ class ParadigmRun:
     Attributes:
         paradigm: ``"inprocess"``, ``"http"``, or ``"cli"``.
         groupings: canonical per-cohort, per-round groupings actually
-            played (rejected rounds are simply absent).
+            played (rounds whose request failed are simply absent).
         load: the load generator's totals.
         snapshot: the metrics-registry snapshot taken right after the
             run — ``scenario.*`` client-side series plus, for the serve

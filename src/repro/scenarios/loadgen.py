@@ -11,7 +11,7 @@ omission.  This module fixes both halves:
 * latency is measured **from the intended send time**, not from
   whenever a sender thread got around to transmitting — a request that
   should have left at *t* and completed at *t+d* records *d* even when
-  the generator itself fell behind, so scheduler saturation shows up in
+  the generator itself fell behind, so server saturation shows up in
   the percentiles instead of hiding in the gaps between requests.
 
 Closed-loop schedules are still supported (``ArrivalSchedule.open_loop``

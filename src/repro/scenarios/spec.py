@@ -9,12 +9,11 @@ rounds each cohort plays, and what service levels the run must meet
 in files, CI configs, and ``BENCH_scenario_<name>.json`` artifacts,
 not in code.
 
-The built-in :data:`CATALOG` holds four starter scenarios (see
+The built-in :data:`CATALOG` holds three starter scenarios (see
 SCENARIOS.md): ``smoke`` for CI, ``fig05b-rate`` replaying the paper's
-fig05b grid point as Poisson traffic, ``saturation-probe``
-deliberately overrunning a narrow scheduler queue to observe
-backpressure, and ``streaming-smoke`` driving individual arrivals
-through the matchmaking layer (see docs/matchmaking.md).
+fig05b grid point as Poisson traffic, and ``streaming-smoke`` driving
+individual arrivals through the matchmaking layer (see
+docs/matchmaking.md).
 """
 
 from __future__ import annotations
@@ -277,7 +276,7 @@ class ScenarioSpec:
         seed: seed of the precomputed arrival schedule.
         slo: service-level targets, or ``None`` for measurement only.
         serve: optional :class:`~repro.serve.config.ServeConfig` field
-            overrides (e.g. ``{"workers": 1, "queue_depth": 4}``) so a
+            overrides (e.g. ``{"cache_size": 0, "max_cohorts": 8}``) so a
             scenario can pin the service shape it probes.
     """
 
@@ -390,19 +389,6 @@ CATALOG: dict[str, ScenarioSpec] = {
             max_error_rate=0.0,
             min_throughput_rps=5.0,
         ),
-    ),
-    "saturation-probe": ScenarioSpec(
-        name="saturation-probe",
-        arrival=ArrivalSpec(kind="burst", burst_size=32, burst_interval=0.02, concurrency=32),
-        population=PopulationSpec(n=60, k=5, cohorts=16, distribution="lognormal", skill_seed=23),
-        policy="dygroups",
-        rounds=4,
-        seed=7,
-        # The probe *wants* to see 429s: a single worker behind a
-        # four-deep queue under 32-wide bursts.  It fails only when the
-        # service stops answering at all.
-        slo=SLOSpec(latency_p99_ms=10_000.0, max_error_rate=0.9),
-        serve={"workers": 1, "queue_depth": 4},
     ),
     # Individual arrivals through the matchmaking layer: 36 seeded
     # participants join one at a time; the condenser forms 3 cohorts of

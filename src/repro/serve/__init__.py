@@ -4,18 +4,17 @@ Serves the reproduction's DyGroups engine as a long-running service:
 
 * :mod:`repro.serve.sessions` — in-memory cohort store with TTL eviction;
 * :mod:`repro.serve.cache` — content-addressed grouping memo (LRU);
-* :mod:`repro.serve.scheduler` — round-step executor stacking
-  same-configuration cohorts into waves, with bounded queues and
-  explicit backpressure;
+* :mod:`repro.serve.scheduler` — the served round path: every round
+  runs inline on the request thread, proposing from the memo for
+  DyGroups cohorts;
 * :mod:`repro.serve.http` — stdlib JSON API (``dygroups serve``);
 * :mod:`repro.serve.client` — in-process and urllib clients;
 * :mod:`repro.serve.errors` — typed failures with HTTP statuses.
 
 The service path is bit-identical to the offline engine: a cohort
 advanced ``α`` rounds over the API reproduces ``simulate()`` with the
-same seed exactly, whether proposals come from the scalar grouper, the
-memo, or a vectorized batch (pinned by the integration and property
-tests).
+same seed exactly, whether proposals come from the policy's own grouper
+or the memo (pinned by the integration and property tests).
 """
 
 from repro.serve.cache import GroupingCache
@@ -28,8 +27,6 @@ from repro.serve.errors import (
     InvalidRequest,
     MatchmakingDisabled,
     ParticipantNotFound,
-    RequestTimeout,
-    SchedulerSaturated,
     ServeError,
     ServiceClosed,
     SessionExpired,
@@ -53,8 +50,6 @@ __all__ = [
     "InvalidRequest",
     "MatchmakingDisabled",
     "ParticipantNotFound",
-    "RequestTimeout",
-    "SchedulerSaturated",
     "ServeConfig",
     "ServeError",
     "ServiceClosed",

@@ -12,10 +12,6 @@ through its own stable descending argsort and
 grouper bit for bit (property-tested in
 ``tests/properties/test_serve_properties.py``), and stored.
 
-:meth:`GroupingCache.propose_batch` is the scheduler's entry point: it
-answers hits up front and vectorizes every remaining row into one
-``(m, n)`` argsort.
-
 Hit/miss/eviction counters are exported through the process-global
 :mod:`repro.obs.metrics` registry under ``serve.cache.*``; the memo is
 thread-safe and bounded (least-recently-used eviction).
@@ -25,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -94,32 +90,6 @@ class GroupingCache:
             return hit
         return self._settle(np.argsort(-array, kind="stable"), k, mode, key)
 
-    def propose_batch(
-        self, arrays: Sequence[np.ndarray], k: int, mode: str
-    ) -> list[Grouping]:
-        """Memoized groupings for a batch of same-length skill vectors.
-
-        Hits are answered without sorting; all remaining rows share a
-        single vectorized ``(m, n)`` argsort before being settled
-        (counted and stored) individually.
-        """
-        results: "list[Grouping | None]" = [None] * len(arrays)
-        pending: list[tuple[int, np.ndarray, bytes]] = []
-        for i, skills in enumerate(arrays):
-            array = np.ascontiguousarray(skills, dtype=np.float64)
-            key = _digest(f"{mode}|{k}|{array.size}|".encode(), array.tobytes())
-            hit = self._probe(key)
-            if hit is not None:
-                results[i] = hit
-            else:
-                pending.append((i, array, key))
-        if pending:
-            matrix = np.stack([array for _, array, _ in pending])
-            orders = np.argsort(-matrix, axis=1, kind="stable")
-            for (i, _, key), order in zip(pending, orders):
-                results[i] = self._settle(order, k, mode, key)
-        return results  # type: ignore[return-value]  # every slot is filled above
-
     # -- internals ---------------------------------------------------------
 
     def _probe(self, key: bytes) -> "Grouping | None":
@@ -161,11 +131,6 @@ class GroupingCache:
                 "max_entries": self.max_entries,
                 **self._local,
             }
-
-    def clear(self) -> None:
-        """Drop every entry (counters are left running)."""
-        with self._lock:
-            self._entries.clear()
 
     def __repr__(self) -> str:
         return f"GroupingCache(entries={len(self._entries)}, max_entries={self.max_entries})"

@@ -19,9 +19,7 @@ __all__ = [
     "InvalidRequest",
     "CohortNotFound",
     "SessionExpired",
-    "SchedulerSaturated",
     "CapacityExhausted",
-    "RequestTimeout",
     "ServiceClosed",
     "ParticipantNotFound",
     "DuplicateJoin",
@@ -67,25 +65,11 @@ class SessionExpired(ServeError):
     code = "session_expired"
 
 
-class SchedulerSaturated(ServeError):
-    """The round-step queue is full — backpressure, retry later."""
-
-    status = 429
-    code = "scheduler_saturated"
-
-
 class CapacityExhausted(ServeError):
     """The session store holds its maximum number of live cohorts."""
 
     status = 429
     code = "capacity_exhausted"
-
-
-class RequestTimeout(ServeError):
-    """A queued round-step request did not complete within the deadline."""
-
-    status = 504
-    code = "request_timeout"
 
 
 class ServiceClosed(ServeError):
@@ -124,9 +108,7 @@ _BY_CODE: dict[str, type[ServeError]] = {
         InvalidRequest,
         CohortNotFound,
         SessionExpired,
-        SchedulerSaturated,
         CapacityExhausted,
-        RequestTimeout,
         ServiceClosed,
         ParticipantNotFound,
         DuplicateJoin,

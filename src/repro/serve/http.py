@@ -33,11 +33,12 @@ series.
 Failures are structured envelopes —
 ``{"error": {"code": "...", "message": "..."}}`` — with the status from
 the :mod:`repro.serve.errors` taxonomy (400 validation, 404 unknown id,
-410 expired session, 429 backpressure, 504 propose timeout).  Every
-request is traced (``serve.http`` span), counted (``serve.http.*``
-metrics), and journaled (``http_request`` events) when observability is
-on.  Shutdown is graceful: ``close()`` stops the accept loop, drains the
-scheduler, and drops the sessions.
+410 expired session, 429 cohort capacity).  A body must come with a
+non-negative decimal ``Content-Length``; anything else, or JSON that
+will not parse, is a 400.  Every request is traced (``serve.http``
+span), counted (``serve.http.*`` metrics), and journaled
+(``http_request`` events) when observability is on.  Shutdown is
+graceful: ``close()`` stops the accept loop and drops the sessions.
 
 ``src/repro/serve/`` is on the DYG103 allowlist: request timing and TTL
 bookkeeping legitimately read clocks; nothing here feeds results.
@@ -45,6 +46,7 @@ bookkeeping legitimately read clocks; nothing here feeds results.
 
 from __future__ import annotations
 
+import _thread
 import json
 import logging
 import re
@@ -67,6 +69,10 @@ _log = logging.getLogger("repro.serve.http")
 _COHORT_PATH = re.compile(r"^/v1/cohorts/(?P<id>[A-Za-z0-9_.-]+)$")
 _ROUNDS_PATH = re.compile(r"^/v1/cohorts/(?P<id>[A-Za-z0-9_.-]+)/rounds$")
 _PARTICIPANT_PATH = re.compile(r"^/v1/participants/(?P<id>[A-Za-z0-9_.-]+)$")
+#: The only accepted ``Content-Length`` form.  ``int()`` alone would take
+#: ``-1``, and ``rfile.read(-1)`` reads until the client closes; it also
+#: refuses strings of over 4,300 digits with a ``ValueError``.
+_CONTENT_LENGTH = re.compile(r"[0-9]{1,18}")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -85,16 +91,25 @@ class _Handler(BaseHTTPRequestHandler):
         _log.debug("%s - %s", self.address_string(), format % args)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise InvalidRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
+        header = (self.headers.get("Content-Length") or "0").strip()
+        length = int(header) if _CONTENT_LENGTH.fullmatch(header) else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the stream has no next request
+            # boundary: answer, then close the connection.
+            self.close_connection = True
+            raise InvalidRequest(
+                f"Content-Length must be a decimal integer in [0, {MAX_BODY_BYTES}], "
+                f"got {header!r}"
+            )
         if length == 0:
             return {}
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8/16/32
             raise InvalidRequest(f"request body is not valid JSON: {error}") from error
+        except RecursionError:
+            raise InvalidRequest("request body nests too deeply to decode") from None
 
     def _respond(self, status: int, payload: dict[str, Any]) -> None:
         """Stage a JSON response; :meth:`_handle` sends it once it is counted."""
@@ -111,6 +126,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(self._status)
         self.send_header("Content-Type", self._content_type)
         self.send_header("Content-Length", str(len(self._body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(self._body)
 
@@ -225,7 +242,7 @@ class GroupingHTTPServer(ThreadingHTTPServer):
 
     Request threads are daemonic so a hung client can never block
     shutdown; :meth:`close` stops the accept loop, closes the service
-    (scheduler drain + session drop), and releases the socket.
+    (session drop), and releases the socket.
     """
 
     daemon_threads = True
@@ -247,7 +264,7 @@ class GroupingHTTPServer(ThreadingHTTPServer):
         return f"http://{host}:{self.port}"
 
     def close(self) -> None:
-        """Graceful shutdown: stop accepting, drain, release the socket."""
+        """Graceful shutdown: stop accepting, close the service, release the socket."""
         self.shutdown()
         self.service.close()
         self.server_close()
@@ -275,18 +292,27 @@ def start_server(
     return server
 
 
-def _install_shutdown_signals() -> None:
-    """Route SIGTERM/SIGINT to ``KeyboardInterrupt`` for a graceful stop.
+def _install_shutdown_signals(server: GroupingHTTPServer) -> None:
+    """Make SIGTERM/SIGINT stop ``server.serve_forever`` for a graceful stop.
 
     Two cases need explicit handlers: service managers stop daemons with
     SIGTERM (which would otherwise kill the process mid-request), and a
     shell backgrounding ``dygroups serve &`` starts it with SIGINT set
     to SIG_IGN, so Python never installs its own handler and ``kill
     -INT`` would be silently discarded.
+
+    The handler only requests the shutdown; it raises nothing.  Python
+    runs it on the main thread wherever that thread is, and an exception
+    raised inside a finalizer (``__del__``, a weakref callback) is printed
+    and dropped, so a raising handler could lose the signal and leave the
+    server serving.  ``server.shutdown()`` blocks until ``serve_forever``
+    returns, so it runs on a thread of its own, started with ``_thread``:
+    the main thread starts a ``threading.Thread`` per connection, and the
+    handler may land while it holds the lock ``Thread.start`` takes.
     """
 
     def _graceful(signum: int, frame: Any) -> None:
-        raise KeyboardInterrupt
+        _thread.start_new_thread(server.shutdown, ())
 
     try:
         signal.signal(signal.SIGTERM, _graceful)
@@ -310,20 +336,16 @@ def run_server(config: "ServeConfig | None" = None) -> int:
         service.close()
         print(f"dygroups serve: cannot bind {config.host}:{config.port}: {error}")
         return 1
-    _install_shutdown_signals()
+    _install_shutdown_signals(server)
     try:
-        # Everything after handler installation sits inside the try: a
-        # signal can land while we are still printing the banner, and it
-        # must shut down gracefully from there too.
+        # A signal that lands before serve_forever starts still stops
+        # it: shutdown() leaves its request set until the loop sees it.
         state = _obs.state()
         if state is not None and state.journal is not None:
-            state.journal.emit(
-                "serve_start", host=config.host, port=server.port, workers=config.workers
-            )
+            state.journal.emit("serve_start", host=config.host, port=server.port)
         print(f"dygroups serve: listening on {server.url} (ctrl-c to stop)", flush=True)
-        _log.info("serving on %s with %d workers", server.url, config.workers)
+        _log.info("serving on %s", server.url)
         server.serve_forever()
-    except KeyboardInterrupt:
         print("\ndygroups serve: shutting down")
     finally:
         # serve_forever already returned on shutdown(); avoid re-entry.

@@ -1,4 +1,4 @@
-"""The grouping service: sessions + cache + scheduler behind one facade.
+"""The grouping service: sessions, memo and round path behind one facade.
 
 :class:`GroupingService` is the transport-agnostic application layer —
 the HTTP front-end (:mod:`repro.serve.http`) and the in-process client
@@ -11,12 +11,11 @@ streaming admission layer condensing individual joins into cohorts
 through this very ``create_cohort`` path (off by default; its endpoints
 answer ``404 matchmaking_disabled``).
 
-Round routing: the deterministic DyGroups groupers take the fast path —
-full batched round steps through the micro-batching scheduler when
-workers are configured (same-configuration cohorts advance together in
-one stacked update), else the grouping memo feeding the session's round
-kernel inline; every other registered policy — stochastic or stateful —
-runs inline on its per-cohort instance with the cohort's own seeded
+Round routing: every cohort's rounds run on the request thread through
+:meth:`BatchScheduler.step_rounds <repro.serve.scheduler.BatchScheduler.step_rounds>`.
+The deterministic DyGroups groupers propose from the grouping memo when
+it is on; every other registered policy — stochastic or stateful —
+proposes on its per-cohort instance with the cohort's own seeded
 generator, preserving the offline engine's reproducibility guarantees.
 
 Cohorts are created from the unified policy registry
@@ -33,19 +32,14 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro._validation import (
     as_skill_array,
     require_divisible_groups,
     require_learning_rate,
     require_positive_int,
 )
-from repro.analysis import contracts as _contracts
 from repro.analysis import sanitizer as _sanitize
-from repro.core.batch import BATCH_MODES
 from repro.core.gain_functions import LinearGain
-from repro.core.grouping import Grouping
 from repro.core.interactions import get_mode
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
@@ -60,10 +54,6 @@ from repro.serve.scheduler import BatchScheduler
 from repro.serve.sessions import CohortSession, SessionStore
 
 __all__ = ["GroupingService", "MAX_MEMBER_ROUNDS"]
-
-#: Policy names routed through the cache/scheduler fast path (their
-#: propose step is the deterministic DyGroups-Local grouper).
-_FAST_PATH_POLICIES = frozenset({"dygroups", "dygroups-star", "dygroups-clique"})
 
 #: Most member-rounds (``rounds × n``) one advance request may play.  Every
 #: played round lists all ``n`` members, at up to 8 bytes of JSON each below
@@ -113,17 +103,7 @@ class GroupingService:
             on_evict=self._record_eviction,
         )
         self.cache = GroupingCache(self.config.cache_size) if self.config.cache_size > 0 else None
-        self.scheduler = (
-            BatchScheduler(
-                self.cache,
-                workers=self.config.workers,
-                queue_depth=self.config.queue_depth,
-                batch_max=self.config.batch_max,
-                batch_min=self.config.batch_min,
-            )
-            if self.config.workers > 0
-            else None
-        )
+        self.scheduler = BatchScheduler(self.cache)
         self.matchmaker = (
             self._build_matchmaker(self.config.matchmaking, clock)
             if self.config.matchmaking is not None
@@ -161,15 +141,13 @@ class GroupingService:
         return self._closed
 
     def close(self) -> None:
-        """Shut the scheduler down and drop every session (idempotent)."""
+        """Stop the matchmaker and drop every session (idempotent)."""
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
         if self.matchmaker is not None:
             self.matchmaker.close()
-        if self.scheduler is not None:
-            self.scheduler.close()
         self.store.clear()
 
     def __enter__(self) -> "GroupingService":
@@ -267,7 +245,6 @@ class GroupingService:
             InvalidRequest: for a non-positive round count, or one whose
                 ``rounds × n`` exceeds :data:`MAX_MEMBER_ROUNDS`.
             CohortNotFound / SessionExpired: for unknown or aged-out ids.
-            SchedulerSaturated / RequestTimeout: from the propose path.
         """
         self._require_open()
         try:
@@ -280,25 +257,9 @@ class GroupingService:
                 f"rounds x n = {rounds} x {session.n} exceeds {MAX_MEMBER_ROUNDS} "
                 f"member-rounds per request; advance in smaller steps"
             )
-        played: list[dict[str, Any]] = []
         with _trace.span("serve.advance", cohort=cohort_id, rounds=rounds):
-            if self.scheduler is not None and self._fast_path(session):
-                # Batched round steps: the scheduler advances this cohort
-                # together with any concurrently queued same-(n, k, mode,
-                # rate) cohorts in one stacked update.
-                # One multi-round request amortizes the queue handoff
-                # over all rounds and keeps the wave stacked round after
-                # round (each round reads the previous round's skills).
-                timeout = self.config.request_timeout
-                records = self.scheduler.step_rounds(session, rounds, timeout=timeout)
-                self._rounds_advanced.inc(rounds)
-                played.extend(records)
-            else:
-                propose = self._propose_fn(session)
-                for _ in range(rounds):
-                    record = session.advance_round(propose)
-                    self._rounds_advanced.inc()
-                    played.append(record)
+            played = self.scheduler.step_rounds(session, rounds)
+        self._rounds_advanced.inc(rounds)
         state = _obs.state()
         if state is not None and state.journal is not None:
             for record in played:
@@ -373,7 +334,6 @@ class GroupingService:
             "status": "closed" if self._closed else "ok",
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "cohorts": len(self.store),
-            "workers": self.config.workers,
         }
         if self.cache is not None:
             payload["cache"] = self.cache.stats()
@@ -420,34 +380,8 @@ class GroupingService:
             duration_seconds=max(time.monotonic() - self._started, 1e-9),
         )
 
-    # -- propose routing ---------------------------------------------------
-
-    def _fast_path(self, session: CohortSession) -> bool:
-        """Whether this cohort's round is the deterministic DyGroups step."""
-        return (
-            PolicySpec.parse(session.policy_name).name in _FAST_PATH_POLICIES
-            and session.mode.name in BATCH_MODES
-        )
-
-    def _propose_fn(self, session: CohortSession) -> Any:
-        """The propose callable for one inline advance call, or ``None``
-        for the session policy's own propose."""
-        if self.cache is None or not self._fast_path(session):
-            return None
-        mode = session.mode.name
-
-        def propose(skills: np.ndarray, k: int, rng: np.random.Generator) -> Grouping:
-            grouping = self.cache.propose(skills, k, mode)
-            if _contracts.contracts_enabled():
-                # Parity with DyGroupsStar/Clique.propose, which check
-                # Theorem 1 on every offline proposal.
-                _contracts.check_top_k_teachers(skills, grouping)
-            return grouping
-
-        return propose
-
     def __repr__(self) -> str:
         return (
-            f"GroupingService(cohorts={len(self.store)}, workers={self.config.workers}, "
+            f"GroupingService(cohorts={len(self.store)}, "
             f"cache={'on' if self.cache is not None else 'off'}, closed={self._closed})"
         )

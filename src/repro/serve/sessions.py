@@ -7,8 +7,8 @@ skills, the per-round generator, gains, optional history), and a private
 calls on the same cohort interleave safely and every round gets a unique
 index.  Locks come from the :mod:`repro.analysis.sanitizer` factories:
 plain stdlib locks in production, instrumented wrappers under
-``REPRO_SANITIZE=1`` that check the scheduler's sorted-wave ordering
-discipline (session locks rank by session id) at test time.
+``REPRO_SANITIZE=1`` that check lock ordering at test time.  No code
+path holds two session locks at once.
 
 The :class:`SessionStore` is the thread-safe registry: create/get/delete
 by id, lazy TTL eviction on every access (plus an explicit
@@ -22,8 +22,6 @@ owns a :class:`repro.engine.kernel.RoundKernel` (built with
 delegates propose → update → gain → contracts to it, so a cohort
 advanced ``α`` times over the service is bit-identical to an offline
 ``simulate`` run with the same seed (pinned by the integration tests).
-The batched scheduler path records externally computed rounds through
-:meth:`CohortSession.record_round_locked` instead.
 
 Clock discipline: TTLs are measured on an injectable *monotonic* clock
 (never jumps backwards); the wall clock is read only for the
@@ -42,7 +40,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.gain_functions import GainFunction
-from repro.core.grouping import Grouping
 from repro.core.interactions import InteractionMode
 from repro.core.simulation import GroupingPolicy
 from repro.engine.kernel import ProposeFn, RoundKernel
@@ -90,9 +87,7 @@ class CohortSession:
         self.rng = np.random.default_rng(seed)
         self.round_gains: list[float] = []
         self.skill_history: "list[np.ndarray] | None" = [skills.copy()] if record_history else None
-        # Rank = session id: the scheduler's wave acquires session locks
-        # sorted by id, so ids double as the sanctioned lock ordering.
-        self._lock = _sanitize.lock("serve.session", rank=session_id)
+        self._lock = _sanitize.lock("serve.session")
         self.created_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
         # instrument=False: served rounds emit serve.* telemetry from the
         # service layer, never the offline engine's core.* events.
@@ -123,9 +118,9 @@ class CohortSession:
         offline ``simulate`` driver runs.
 
         Args:
-            propose: optional override for the propose step (the service
-                passes the grouping-memo fast path for DyGroups
-                policies); defaults to the session policy's own
+            propose: optional override for the propose step (the round
+                path passes the grouping memo's for DyGroups policies);
+                defaults to the session policy's own
                 :meth:`~repro.core.simulation.GroupingPolicy.propose`.
 
         Returns:
@@ -140,27 +135,15 @@ class CohortSession:
                 round_index=len(self.round_gains),
                 propose=propose,
             )
-            return self.record_round_locked(outcome.grouping, outcome.updated, outcome.gain)
-
-    def record_round_locked(
-        self, grouping: Grouping, updated: np.ndarray, gain: float
-    ) -> dict[str, Any]:
-        """Record one computed round; the caller must hold ``self._lock``.
-
-        Shared tail of the two advancement paths: the inline kernel step
-        above, and the scheduler's batched round step, which computes a
-        whole wave of same-configuration cohorts with one stacked update
-        while holding every wave member's lock.
-        """
-        self.skills = updated
-        self.round_gains.append(gain)
-        if self.skill_history is not None:
-            self.skill_history.append(updated.copy())
-        return {
-            "round": len(self.round_gains) - 1,
-            "gain": gain,
-            "groups": [list(group) for group in grouping],
-        }
+            self.skills = outcome.updated
+            self.round_gains.append(outcome.gain)
+            if self.skill_history is not None:
+                self.skill_history.append(outcome.updated.copy())
+            return {
+                "round": len(self.round_gains) - 1,
+                "gain": outcome.gain,
+                "groups": [list(group) for group in outcome.grouping],
+            }
 
     def describe(self, *, include_history: bool = False) -> dict[str, Any]:
         """JSON-ready summary of the cohort and its trajectory."""

@@ -82,7 +82,7 @@ class TestUnguardedSharedState:
         )
 
     def test_manual_acquire_methods_exempt(self):
-        # The scheduler's sorted-wave idiom: explicit acquire/release
+        # Sorted multi-lock acquisition: explicit acquire/release
         # cannot be region-tracked statically; the sanitizer owns it.
         assert not lint(
             """

@@ -121,8 +121,8 @@ class TestOrderInversion:
 
 class TestSortedWaveRank:
     def test_ascending_ranks_are_sanctioned(self):
-        # The scheduler's wave: same-name session locks acquired in
-        # session-id order, each constructed with rank=session_id.
+        # Sorted acquisition: same-name per-item locks acquired in key
+        # order, each constructed with its key as the rank.
         with sanitizer.sanitize_scope():
             locks = [
                 sanitizer.lock("serve.session", rank=f"c{i:06d}") for i in range(1, 5)

@@ -29,7 +29,6 @@ def test_every_arrival_condenses_under_concurrent_joiners(joiners):
     skills = np.random.default_rng(7).uniform(1.0, 10.0, size=WAVES * N)
     service = GroupingService(
         ServeConfig(
-            workers=0,
             matchmaking={
                 "specs": [{"n": N, "k": K, "deadline_seconds": 600.0}],
                 "tick_interval": None,

@@ -28,7 +28,7 @@ MM_CONFIG = {
 
 @pytest.fixture
 def server():
-    service = GroupingService(ServeConfig(workers=0, matchmaking=MM_CONFIG))
+    service = GroupingService(ServeConfig(matchmaking=MM_CONFIG))
     http_server = start_server(service, port=0)
     yield http_server
     http_server.close()
@@ -41,7 +41,7 @@ def client(server):
 
 @pytest.fixture
 def plain_server():
-    service = GroupingService(ServeConfig(workers=0))
+    service = GroupingService(ServeConfig())
     http_server = start_server(service, port=0)
     yield http_server
     http_server.close()
@@ -139,7 +139,7 @@ class TestErrorEnvelopes:
             client.matchmaking()
 
     def test_in_process_transport_raises_same_types(self):
-        service = GroupingService(ServeConfig(workers=0, matchmaking=MM_CONFIG))
+        service = GroupingService(ServeConfig(matchmaking=MM_CONFIG))
         try:
             client = InProcessClient(service)
             client.join(1.0, participant="alice")
@@ -151,7 +151,7 @@ class TestErrorEnvelopes:
             service.close()
 
     def test_in_process_disabled_raises_matchmaking_disabled(self):
-        service = GroupingService(ServeConfig(workers=0))
+        service = GroupingService(ServeConfig())
         try:
             with pytest.raises(MatchmakingDisabled):
                 InProcessClient(service).join(1.0)

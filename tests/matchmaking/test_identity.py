@@ -54,10 +54,7 @@ def test_condensed_cohort_is_bit_identical_to_direct_and_offline(instance):
     """Streaming admission is a pure re-ordering: same members, same math."""
     spec, skills, order, rounds = instance
     service = GroupingService(
-        ServeConfig(
-            workers=0,
-            matchmaking={"specs": [spec], "tick_interval": None},
-        )
+        ServeConfig(matchmaking={"specs": [spec], "tick_interval": None})
     )
     try:
         for index in order:

@@ -19,7 +19,6 @@ def make_service(clock=None, *, specs, tick_interval=None, **config_fields):
     kwargs = {} if clock is None else {"clock": clock}
     return GroupingService(
         ServeConfig(
-            workers=0,
             matchmaking={"specs": specs, "tick_interval": tick_interval},
             **config_fields,
         ),

@@ -49,7 +49,7 @@ class TestValidation:
     def test_service_refuses_a_negative_seed_at_start(self):
         # The i-th cohort is created with seed + i, and numpy rejects a
         # negative seed: such a spec could never condense a cohort.
-        config = ServeConfig(workers=0, matchmaking={"specs": [{"n": 4, "k": 2, "seed": -3}]})
+        config = ServeConfig(matchmaking={"specs": [{"n": 4, "k": 2, "seed": -3}]})
         with pytest.raises(ValueError, match="seed"):
             GroupingService(config)
 

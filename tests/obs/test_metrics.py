@@ -163,7 +163,7 @@ class TestRenderPrometheus:
     def _snapshot(self):
         registry = MetricsRegistry()
         registry.counter("serve.http.requests").inc(3)
-        registry.gauge("serve.scheduler.queue_depth").set(2)
+        registry.gauge("serve.sessions.active").set(2)
         timer = registry.timer("serve.http.request_seconds")
         for value in (0.1, 0.2, 0.3):
             timer.observe(value)
@@ -174,8 +174,8 @@ class TestRenderPrometheus:
         lines = text.splitlines()
         assert "# TYPE repro_serve_http_requests counter" in lines
         assert "repro_serve_http_requests 3.0" in lines
-        assert "# TYPE repro_serve_scheduler_queue_depth gauge" in lines
-        assert "repro_serve_scheduler_queue_depth 2.0" in lines
+        assert "# TYPE repro_serve_sessions_active gauge" in lines
+        assert "repro_serve_sessions_active 2.0" in lines
         assert "# TYPE repro_serve_http_request_seconds summary" in lines
         assert any(
             line.startswith('repro_serve_http_request_seconds{quantile="0.95"}')

@@ -1,31 +1,26 @@
 """Property-based tests for the serving layer's bit-identity guarantees.
 
-Three claims, over randomized ``(skills, k, mode)`` instances including
+Two claims, over randomized ``(skills, k, mode)`` instances including
 ties and repeated values:
 
-1. the vectorized batch grouper equals the scalar groupers row for row;
-2. a cache *hit* returns exactly what a cold compute would, no matter
+1. a cache *hit* returns exactly what a cold compute would, no matter
    what was inserted before the query;
-3. a session advanced round by round over the service equals an offline
-   ``simulate`` run with the same seed.
+2. a session advanced over the service equals an offline ``simulate``
+   run with the same seed, whether the memo proposes its rounds or the
+   policy does.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.registry import make_policy
-from repro.core.batch import propose_batch
 from repro.core.local import dygroups_clique_local, dygroups_star_local
 from repro.core.simulation import simulate
-from repro.obs import runtime
 from repro.serve.cache import GroupingCache
 from repro.serve.config import ServeConfig
-from repro.serve.scheduler import BatchScheduler
 from repro.serve.service import GroupingService
 
 REFERENCE = {"star": dygroups_star_local, "clique": dygroups_clique_local}
@@ -63,14 +58,6 @@ def skill_batches(draw, max_rows: int = 4, max_k: int = 3, max_group_size: int =
 
 @given(instance=skill_batches())
 @settings(max_examples=60, deadline=None)
-def test_batch_propose_equals_scalar_groupers(instance):
-    matrix, k, mode = instance
-    for row, grouping in zip(matrix, propose_batch(matrix, k, mode)):
-        assert groups_of(grouping) == groups_of(REFERENCE[mode](row, k))
-
-
-@given(instance=skill_batches())
-@settings(max_examples=60, deadline=None)
 def test_cache_hits_are_bit_identical_to_cold_computes(instance):
     """Acceptance: whatever the cache state, propose == fresh compute."""
     matrix, k, mode = instance
@@ -86,9 +73,6 @@ def test_cache_hits_are_bit_identical_to_cold_computes(instance):
         assert groups_of(cache.propose(permuted, k, mode)) == groups_of(
             REFERENCE[mode](permuted, k)
         )
-    # Batch entry point agrees with the scalar entry point.
-    for row, grouping in zip(matrix, cache.propose_batch(list(matrix), k, mode)):
-        assert groups_of(grouping) == groups_of(REFERENCE[mode](row, k))
 
 
 @st.composite
@@ -113,7 +97,7 @@ def cohort_instances(draw):
 @settings(max_examples=25, deadline=None)
 def test_served_trajectories_equal_offline_simulate(instance):
     skills, k, mode, seed, alpha = instance
-    with GroupingService(ServeConfig(workers=0, cache_size=16)) as service:
+    with GroupingService(ServeConfig(cache_size=16)) as service:
         cohort = service.create_cohort(
             {"skills": skills.tolist(), "k": k, "mode": mode, "seed": seed}
         )["cohort"]
@@ -127,68 +111,21 @@ def test_served_trajectories_equal_offline_simulate(instance):
     assert np.array_equal(final, reference.final_skills)
 
 
-def _counter(name):
-    return runtime.metrics_registry().counter(name).value
-
-
-class _ParkingCache(GroupingCache):
-    """A memo whose first ``propose`` waits for ``release``, parking the worker."""
-
-    def __init__(self) -> None:
-        super().__init__(16)
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def propose(self, skills, k, mode):
-        if not self.entered.is_set():
-            self.entered.set()
-            assert self.release.wait(timeout=10.0), "parking cache never released"
-        return super().propose(skills, k, mode)
-
-
-def _waved_trajectory(payload, alpha):
-    """Play ``alpha`` rounds of the payload's cohort inside a two-cohort step wave."""
-    with GroupingService(ServeConfig(workers=0, cache_size=0)) as service:
-        parking, subject, partner = (
-            service.store.get(service.create_cohort(payload)["cohort"]) for _ in range(3)
-        )
-        cache = _ParkingCache()
-        waves = _counter("serve.scheduler.step_batches")
-        scheduler = BatchScheduler(cache, workers=1, batch_min=2, parallelism=2)
-        try:
-            # A lone step drains alone, falls through inline and parks the
-            # worker; the two steps queued behind it drain as one wave.
-            parked = scheduler.submit_step(parking, 1)
-            assert cache.entered.wait(timeout=10.0)
-            futures = [scheduler.submit_step(session, alpha) for session in (subject, partner)]
-            cache.release.set()
-            parked.result(timeout=10.0)
-            played = futures[0].result(timeout=10.0)
-            futures[1].result(timeout=10.0)
-        finally:
-            scheduler.close()
-        assert _counter("serve.scheduler.step_batches") - waves == 1
-        return [r["gain"] for r in played], service.get_cohort(subject.id)["skills"]
-
-
 @given(instance=cohort_instances())
 @settings(max_examples=15, deadline=None)
-def test_wave_fallthrough_and_inline_scheduling_agree(instance):
-    """The scheduling decision is invisible: adaptive fall-through, a
-    stacked step wave, and the worker-less inline route play
-    bit-identical trajectories."""
+def test_served_trajectories_agree_with_memo_on_and_off(instance):
+    """Whether the memo or the policy proposes, a multi-round advance
+    plays the trajectory of ``simulate()``."""
     skills, k, mode, seed, alpha = instance
     payload = {"skills": skills.tolist(), "k": k, "mode": mode, "seed": seed}
-    trajectories = []
-    for config in (
-        ServeConfig(workers=0, cache_size=16),
-        ServeConfig(workers=2, cache_size=16),
-    ):
-        with GroupingService(config) as service:
+    reference = simulate(
+        make_policy("dygroups", mode=mode, rate=0.5),
+        skills, k=k, alpha=alpha, mode=mode, rate=0.5, seed=seed,
+    )
+    for cache_size in (16, 0):
+        with GroupingService(ServeConfig(cache_size=cache_size)) as service:
             cohort = service.create_cohort(payload)["cohort"]
             played = service.advance_rounds(cohort, alpha)["played"]
-            final = service.get_cohort(cohort)["skills"]
-        trajectories.append(([r["gain"] for r in played], final))
-    inline, adaptive = trajectories
-    assert adaptive == inline
-    assert _waved_trajectory(payload, alpha) == inline
+            final = np.array(service.get_cohort(cohort)["skills"])
+        assert [r["gain"] for r in played] == [float(g) for g in reference.round_gains]
+        assert np.array_equal(final, reference.final_skills)

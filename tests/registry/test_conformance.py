@@ -151,7 +151,7 @@ class TestVectorizableBitIdentity:
         for row in range(2):
             assert np.array_equal(batch.final_skills[row], scalar.final_skills)
             assert np.array_equal(batch.round_gains[row], scalar.round_gains)
-        with GroupingService(ServeConfig(workers=2, cache_size=32)) as svc:
+        with GroupingService(ServeConfig(cache_size=32)) as svc:
             cohort = svc.create_cohort(
                 {"skills": skills.tolist(), "k": 3, "mode": mode, "policy": name, "seed": 17}
             )["cohort"]

@@ -108,7 +108,7 @@ class TestScenarioSpec:
 
 class TestCatalog:
     def test_expected_scenarios_present(self):
-        assert {"smoke", "fig05b-rate", "saturation-probe"} <= set(CATALOG)
+        assert set(CATALOG) == {"smoke", "fig05b-rate", "streaming-smoke"}
 
     def test_every_entry_round_trips(self):
         for name, spec in CATALOG.items():

@@ -52,15 +52,6 @@ class TestCorrectness:
         assert len(groups_of(k2)) == 2
         assert cache.stats()["misses"] == 3
 
-    def test_propose_batch_matches_scalar_path(self, skills):
-        cache = GroupingCache()
-        rng = np.random.default_rng(3)
-        arrays = [rng.permutation(skills) for _ in range(5)] + [skills]
-        cache.propose(skills, 4, "star")  # seed an entry
-        batched = cache.propose_batch(arrays, 4, "star")
-        for array, grouping in zip(arrays, batched):
-            assert groups_of(grouping) == groups_of(dygroups_star_local(array, 4))
-
 
 class TestBoundsAndCounters:
     def test_lru_eviction_is_bounded(self):
@@ -87,14 +78,6 @@ class TestBoundsAndCounters:
         snapshot = runtime.metrics_registry().snapshot()
         assert snapshot["counters"]["serve.cache.hits"]["value"] == 1
         assert snapshot["counters"]["serve.cache.misses"]["value"] == 1
-
-    def test_clear_empties_both_tiers(self, skills):
-        cache = GroupingCache()
-        cache.propose(skills, 4, "star")
-        cache.clear()
-        assert len(cache) == 0
-        cache.propose(skills, 4, "star")
-        assert cache.stats()["misses"] == 2
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):

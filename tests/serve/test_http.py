@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import pathlib
+import socket
+import subprocess
+import sys
 import urllib.request
 
 import numpy as np
@@ -24,7 +30,7 @@ from repro.serve import (
 
 @pytest.fixture
 def server():
-    service = GroupingService(ServeConfig(workers=2, cache_size=128))
+    service = GroupingService(ServeConfig(cache_size=128))
     http_server = start_server(service, port=0)
     yield http_server
     http_server.close()
@@ -33,6 +39,26 @@ def server():
 @pytest.fixture
 def client(server):
     return HttpClient(server.url, timeout=30.0)
+
+
+def _raw_post(server, length: "str | None", body: bytes) -> "tuple[int, dict, str | None]":
+    """POST a hand-framed body on a keep-alive socket the client never half-closes.
+
+    ``length`` is the literal ``Content-Length`` value (``None`` sends
+    ``len(body)``).  A server waiting for more body bytes times the read
+    out after 2 s instead of answering.  Returns the status, the decoded
+    body and the ``Connection`` header.
+    """
+    header = str(len(body)) if length is None else length
+    head = (
+        f"POST /v1/cohorts HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {header}\r\n\r\n"
+    )
+    with socket.create_connection(server.server_address[:2], timeout=2.0) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read()), response.getheader("Connection")
 
 
 class _CountingWriter:
@@ -93,8 +119,7 @@ class TestOperationalEndpoints:
     def test_healthz(self, client):
         health = client.healthz()
         assert health["status"] == "ok"
-        assert health["workers"] == 2
-        assert "cache" in health
+        assert set(health) == {"status", "uptime_seconds", "cohorts", "cache"}
 
     def test_metrics_exposes_cache_and_http_counters(self, client):
         skills = [1.0, 2.0, 3.0, 4.0]
@@ -107,6 +132,7 @@ class TestOperationalEndpoints:
         assert counters["serve.rounds.advanced"]["value"] == 3
         assert "serve.cache.hits" in counters or "serve.cache.misses" in counters
         assert snapshot["timers"]["serve.http.request_seconds"]["count"] >= 3
+        assert snapshot["timers"]["serve.scheduler.kernel_seconds"]["count"] == 2
 
     def test_request_is_counted_before_its_response_is_written(self, server, client):
         client.healthz()
@@ -129,11 +155,8 @@ class TestOperationalEndpoints:
         snapshot = client.metrics()
         gauges = snapshot["gauges"]
         assert gauges["serve.sessions.active"]["value"] == 1
-        # A lone round step never touches the queue: the adaptive
-        # scheduler answers it through the inline kernel fall-through.
-        assert gauges["serve.scheduler.queue_depth"]["value"] == 0
-        counters = snapshot["counters"]
-        assert counters["serve.scheduler.step_inline_fallthrough"]["value"] >= 1
+        # The advance ran through the one round path, timed once.
+        assert snapshot["timers"]["serve.scheduler.kernel_seconds"]["count"] == 1
 
     def test_metrics_prometheus_format(self, server, client):
         info = client.create_cohort([1.0, 2.0, 3.0, 4.0], 2)
@@ -209,7 +232,7 @@ class TestErrorEnvelopes:
     def test_expired_session_is_410_over_http(self):
         clock_box = {"now": 0.0}
         service = GroupingService(
-            ServeConfig(workers=0, session_ttl=5.0), clock=lambda: clock_box["now"]
+            ServeConfig(session_ttl=5.0), clock=lambda: clock_box["now"]
         )
         server = start_server(service, port=0)
         try:
@@ -223,7 +246,97 @@ class TestErrorEnvelopes:
             server.close()
 
 
+class TestRequestFraming:
+    """Malformed framing is a typed 400 at once, never a 500 or a stall."""
+
+    @pytest.mark.parametrize(
+        "length,body,closes",
+        [
+            ("abc", b"{}", True),
+            ("-5", b"{}", True),
+            ("-1", b'{"skills": [1.0, 2.0], "k": 1}', True),
+            ("9" * 5000, b"{}", True),
+            ("33554433", b"{}", True),
+            (None, b"[" * 200_000, False),
+            (None, b"\x80{}", False),
+        ],
+        ids=[
+            "non-numeric", "negative", "minus-one", "5000-digits", "too-large",
+            "deep-nesting", "not-utf8",
+        ],
+    )
+    def test_malformed_body_is_400(self, server, length, body, closes):
+        status, envelope, connection = _raw_post(server, length, body)
+        assert status == 400
+        assert envelope["error"]["code"] == "invalid_request"
+        # An unread body leaves no next-request boundary on the stream.
+        assert connection == ("close" if closes else None)
+
+    def test_well_framed_body_still_keeps_the_connection(self, server):
+        body = json.dumps({"skills": [1.0, 2.0], "k": 1}).encode()
+        with socket.create_connection(server.server_address[:2], timeout=2.0) as sock:
+            for _ in range(2):
+                sock.sendall(
+                    b"POST /v1/cohorts HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
+                )
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                assert response.status == 201
+                assert response.getheader("Connection") is None
+                response.read()
+
+
+_FINALIZER_SIGTERM = """
+import os
+import signal
+import sys
+
+from repro.serve import http
+from repro.serve.config import ServeConfig
+
+
+class _SignalsWhenCollected:
+    def __del__(self):
+        os.kill(os.getpid(), signal.SIGTERM)
+
+
+class _Server(http.GroupingHTTPServer):
+    signalled = False
+
+    def service_actions(self):
+        # Drop an object whose finalizer signals this process, so the
+        # SIGTERM handler runs inside __del__.
+        if not _Server.signalled:
+            _Server.signalled = True
+            _SignalsWhenCollected()
+
+
+http.GroupingHTTPServer = _Server
+sys.exit(http.run_server(ServeConfig(port=0)))
+"""
+
+
 class TestShutdown:
+    def test_sigterm_inside_a_finalizer_still_stops_the_server(self):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _FINALIZER_SIGTERM],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        try:
+            output = proc.communicate(timeout=5.0)[0]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, output
+        assert "shutting down" in output
+
     def test_close_stops_accepting(self, server, client):
         client.healthz()
         server.close()

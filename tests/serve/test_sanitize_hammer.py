@@ -30,11 +30,8 @@ SKILLS = [8.0, 5.0, 4.5, 4.0, 2.5, 2.0]
 def sanitized_service():
     with sanitizer.sanitize_scope():
         sanitizer.reset()
-        # Tiny TTL so eviction races the workers; 2 scheduler workers so
-        # batched waves run concurrently with inline advancement.
-        service = GroupingService(
-            ServeConfig(workers=2, session_ttl=0.05, cache_size=64)
-        )
+        # Tiny TTL so eviction races the hammer threads' advances.
+        service = GroupingService(ServeConfig(session_ttl=0.05, cache_size=64))
         try:
             yield service
         finally:

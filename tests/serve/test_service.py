@@ -40,7 +40,7 @@ def skills() -> list:
 
 @pytest.fixture
 def service():
-    with GroupingService(ServeConfig(workers=2, cache_size=64)) as svc:
+    with GroupingService(ServeConfig(cache_size=64)) as svc:
         yield svc
 
 
@@ -88,7 +88,7 @@ class TestCreateCohort:
             service.create_cohort([1, 2, 3])
 
     def test_capacity_exhausted(self, skills):
-        with GroupingService(ServeConfig(workers=0, cache_size=0, max_cohorts=1)) as svc:
+        with GroupingService(ServeConfig(cache_size=0, max_cohorts=1)) as svc:
             svc.create_cohort(payload(skills))
             with pytest.raises(CapacityExhausted):
                 svc.create_cohort(payload(skills))
@@ -96,10 +96,10 @@ class TestCreateCohort:
 
 class TestAdvance:
     @pytest.mark.parametrize("mode", ["star", "clique"])
-    @pytest.mark.parametrize("workers,cache_size", [(2, 64), (0, 64), (0, 0)])
-    def test_bit_identical_to_offline_simulate(self, skills, mode, workers, cache_size):
-        """Scheduler path, cache path, and inline path all reproduce simulate()."""
-        with GroupingService(ServeConfig(workers=workers, cache_size=cache_size)) as svc:
+    @pytest.mark.parametrize("cache_size", [64, 0])
+    def test_bit_identical_to_offline_simulate(self, skills, mode, cache_size):
+        """Rounds proposed by the memo and by the policy both reproduce simulate()."""
+        with GroupingService(ServeConfig(cache_size=cache_size)) as svc:
             info = svc.create_cohort(payload(skills, mode=mode, seed=13))
             result = svc.advance_rounds(info["cohort"], 6)
             final = np.array(svc.get_cohort(info["cohort"])["skills"])
@@ -111,7 +111,7 @@ class TestAdvance:
         assert result["total_gain"] == float(np.sum(reference.round_gains))
 
     def test_stochastic_policy_runs_inline_and_reproduces(self, skills):
-        with GroupingService(ServeConfig(workers=2)) as svc:
+        with GroupingService(ServeConfig()) as svc:
             info = svc.create_cohort(payload(skills, policy="random", seed=3))
             svc.advance_rounds(info["cohort"], 4)
             final = np.array(svc.get_cohort(info["cohort"])["skills"])
@@ -154,7 +154,7 @@ class TestAdvance:
 
     def test_expired_cohort_410(self, skills):
         clock = FakeClock()
-        with GroupingService(ServeConfig(workers=0, session_ttl=5.0), clock=clock) as svc:
+        with GroupingService(ServeConfig(session_ttl=5.0), clock=clock) as svc:
             cohort = svc.create_cohort(payload(skills))["cohort"]
             clock.now = 6.0
             with pytest.raises(SessionExpired):
@@ -194,7 +194,7 @@ class TestIntrospection:
 
     def test_eviction_emits_counter(self, skills):
         clock = FakeClock()
-        with GroupingService(ServeConfig(workers=0, session_ttl=5.0), clock=clock) as svc:
+        with GroupingService(ServeConfig(session_ttl=5.0), clock=clock) as svc:
             svc.create_cohort(payload(skills))
             clock.now = 6.0
             svc.store.evict_expired()
@@ -214,7 +214,7 @@ class TestIntrospection:
 
     def test_sessions_active_gauge_drops_on_eviction(self, skills):
         clock = FakeClock()
-        with GroupingService(ServeConfig(workers=0, session_ttl=5.0), clock=clock) as svc:
+        with GroupingService(ServeConfig(session_ttl=5.0), clock=clock) as svc:
             svc.create_cohort(payload(skills))
             clock.now = 6.0
             svc.store.evict_expired()
@@ -226,7 +226,7 @@ class TestSLOVerdicts:
         assert "slo" not in service.metrics_snapshot()
 
     def test_snapshot_carries_slo_verdicts_when_configured(self, skills):
-        config = ServeConfig(workers=0, slo={"latency_p95_ms": 60_000.0, "max_error_rate": 0.5})
+        config = ServeConfig(slo={"latency_p95_ms": 60_000.0, "max_error_rate": 0.5})
         with GroupingService(config) as svc:
             # No HTTP traffic flowed, so the latency series is absent and
             # its verdict must FAIL; flip the limit, not the traffic.
@@ -237,7 +237,7 @@ class TestSLOVerdicts:
             assert not targets["latency_p95_ms"]["passed"]
 
     def test_snapshot_slo_passes_with_observed_traffic(self, skills):
-        config = ServeConfig(workers=0, slo={"latency_p95_ms": 60_000.0})
+        config = ServeConfig(slo={"latency_p95_ms": 60_000.0})
         with GroupingService(config) as svc:
             registry = runtime.metrics_registry()
             registry.timer("serve.http.request_seconds").observe(0.01)
@@ -246,10 +246,10 @@ class TestSLOVerdicts:
 
     def test_invalid_slo_target_rejected_at_startup(self):
         with pytest.raises(ValueError, match="unknown SLO fields"):
-            GroupingService(ServeConfig(workers=0, slo={"latency_p42_ms": 10.0}))
+            GroupingService(ServeConfig(slo={"latency_p42_ms": 10.0}))
 
     def test_metrics_prometheus_includes_slo_gauges(self, skills):
-        config = ServeConfig(workers=0, slo={"max_error_rate": 1.0})
+        config = ServeConfig(slo={"max_error_rate": 1.0})
         with GroupingService(config) as svc:
             registry = runtime.metrics_registry()
             registry.counter("serve.http.requests").inc()
@@ -263,7 +263,7 @@ class TestSLOVerdicts:
 
 class TestLifecycle:
     def test_closed_service_refuses_work(self, skills):
-        svc = GroupingService(ServeConfig(workers=1))
+        svc = GroupingService(ServeConfig())
         svc.close()
         with pytest.raises(ServiceClosed):
             svc.create_cohort(payload(skills))

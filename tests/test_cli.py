@@ -56,16 +56,16 @@ class TestParser:
         assert args.command == "serve"
         assert args.host == "127.0.0.1"
         assert args.port == 8750
-        assert args.workers == 2
         assert args.cache_size == 1024
+        assert args.session_ttl == 1800.0
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--workers", "4", "--cache-size", "0", "--contracts"]
+            ["serve", "--port", "0", "--cache-size", "0", "--session-ttl", "60", "--contracts"]
         )
         assert args.port == 0
-        assert args.workers == 4
         assert args.cache_size == 0
+        assert args.session_ttl == 60.0
         assert args.contracts is True
 
     def test_serve_slo_flags_accumulate(self):
@@ -300,8 +300,8 @@ class TestCommands:
         assert main(["simulate", "--skills-file", str(skills_file), "--k", "4"]) == 2
         assert "dygroups simulate" in capsys.readouterr().err
         # Invalid service configuration → usage error (2).
-        assert main(["serve", "--workers", "-3"]) == 2
-        assert "workers" in capsys.readouterr().err
+        assert main(["serve", "--cache-size", "-3"]) == 2
+        assert "cache_size" in capsys.readouterr().err
         assert main(["serve", "--session-ttl", "-1"]) == 2
         assert "session_ttl" in capsys.readouterr().err
 
@@ -389,7 +389,7 @@ class TestScenarioCommand:
         output = capsys.readouterr().out
         assert "smoke" in output
         assert "fig05b-rate" in output
-        assert "saturation-probe" in output
+        assert "streaming-smoke" in output
 
     def test_scenario_run_from_spec_file(self, capsys, tmp_path):
         from repro.scenarios.spec import ArrivalSpec, PopulationSpec, ScenarioSpec, SLOSpec
