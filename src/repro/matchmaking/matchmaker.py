@@ -414,10 +414,12 @@ class Matchmaker:
 
     def _update_gauges_locked(self, now: float) -> None:
         self._depth_gauge.set(self.queue.depth())
+        # Pools keep arrival order, so each spec's longest wait is its first pending one.
         oldest = 0.0
         for name in self.specs:
-            for participant in self.queue.pending(name):
-                oldest = max(oldest, participant.wait_seconds(now))
+            first = self.queue.first_pending(name)
+            if first is not None:
+                oldest = max(oldest, first.wait_seconds(now))
         self._waiting_oldest.set(round(oldest, 6))
 
     def _emit(self, event: str, **fields: Any) -> None:

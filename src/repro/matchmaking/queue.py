@@ -131,6 +131,11 @@ class JoinQueue:
         with self._lock:
             return list(self._pending.get(spec, {}).values())
 
+    def first_pending(self, spec: str) -> "Participant | None":
+        """The earliest arrival still waiting on ``spec`` (its longest wait), if any."""
+        with self._lock:
+            return next(iter(self._pending.get(spec, {}).values()), None)
+
     def join(
         self, participant_id: "str | None", *, skill: float, spec: str, now: float
     ) -> Participant:

@@ -7,7 +7,7 @@ Serves the reproduction's DyGroups engine as a long-running service:
 * :mod:`repro.serve.scheduler` — the served round path: every round
   runs inline on the request thread, proposing from the memo for
   DyGroups cohorts;
-* :mod:`repro.serve.http` — stdlib JSON API (``dygroups serve``);
+* :mod:`repro.serve.http` — keep-alive HTTP/1.1 JSON API (``dygroups serve``);
 * :mod:`repro.serve.client` — in-process and urllib clients;
 * :mod:`repro.serve.errors` — typed failures with HTTP statuses.
 

@@ -14,8 +14,6 @@ benchmarks can swap transports freely:
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from typing import Any, Mapping, Sequence
 
 from repro.serve.errors import ServeError, error_from_envelope
@@ -144,6 +142,11 @@ class HttpClient:
     def _request(
         self, method: str, path: str, payload: "Mapping[str, Any] | None" = None
     ) -> dict[str, Any]:
+        # Imported here: urllib.request loads http.client, email and ssl,
+        # which a serving process that never calls out has no use for.
+        import urllib.error
+        import urllib.request
+
         body = None if payload is None else json.dumps(payload).encode()
         request = urllib.request.Request(
             f"{self.base_url}{path}",
@@ -159,6 +162,8 @@ class HttpClient:
                 envelope = json.loads(error.read())
             except (json.JSONDecodeError, OSError):
                 envelope = None
+            finally:
+                error.close()  # the error holds the response and its socket
             raise error_from_envelope(envelope, status=error.code) from None
         except urllib.error.URLError as error:
             raise ServeError(f"cannot reach grouping server at {self.base_url}: {error.reason}") from None

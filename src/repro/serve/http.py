@@ -1,7 +1,8 @@
-"""Stdlib HTTP front-end for the grouping service.
+"""Keep-alive HTTP/1.1 front-end for the grouping service.
 
-A :class:`GroupingHTTPServer` is a ``ThreadingHTTPServer`` whose handler
-routes a small JSON API onto one :class:`~repro.serve.service.GroupingService`:
+A :class:`GroupingHTTPServer` is a threaded ``socketserver`` TCP server
+whose handler routes a small JSON API onto one
+:class:`~repro.serve.service.GroupingService`:
 
 ========  ==============================  =======================================
 method    path                            operation
@@ -40,6 +41,20 @@ span), counted (``serve.http.*`` metrics), and journaled
 (``http_request`` events) when observability is on.  Shutdown is
 graceful: ``close()`` stops the accept loop and drops the sessions.
 
+Transport: one thread per connection reads its requests in turn.  The
+handler parses the request head itself and sends each response — status
+line, headers and body — in one write on a ``TCP_NODELAY`` socket, so a
+keep-alive response never waits for the client's delayed ACK.  Every
+read times out after :data:`READ_TIMEOUT_SECONDS`; a timed-out read, or
+a client that goes away, ends the connection quietly with no response.
+A head this server cannot frame safely is refused with an envelope and
+the connection closes: a request line over 64 KiB (414), a header line
+over 64 KiB or more than 100 headers (431), a version other than
+HTTP/1.0 or 1.1 (505), any ``Transfer-Encoding`` (501), two
+``Content-Length`` headers or a malformed line (400), and a method with
+no route (501).  ``Expect: 100-continue`` gets ``100 Continue`` just
+before the body is read.
+
 ``src/repro/serve/`` is on the DYG103 allowlist: request timing and TTL
 bookkeeping legitimately read clocks; nothing here feeds results.
 """
@@ -51,8 +66,10 @@ import json
 import logging
 import re
 import signal
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http import HTTPStatus
 from typing import Any
 from urllib.parse import parse_qs
 
@@ -62,7 +79,7 @@ from repro.serve.config import MAX_BODY_BYTES, REQUEST_HISTOGRAM_KEEP, ServeConf
 from repro.serve.errors import InvalidRequest, ServeError
 from repro.serve.service import GroupingService
 
-__all__ = ["GroupingHTTPServer", "start_server", "run_server"]
+__all__ = ["GroupingHTTPServer", "start_server", "run_server", "READ_TIMEOUT_SECONDS"]
 
 _log = logging.getLogger("repro.serve.http")
 
@@ -73,13 +90,48 @@ _PARTICIPANT_PATH = re.compile(r"^/v1/participants/(?P<id>[A-Za-z0-9_.-]+)$")
 #: ``-1``, and ``rfile.read(-1)`` reads until the client closes; it also
 #: refuses strings of over 4,300 digits with a ``ValueError``.
 _CONTENT_LENGTH = re.compile(r"[0-9]{1,18}")
+_HTTP_VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
+
+#: Seconds one read of a request socket may block — the next request
+#: line, a header line or the body — before the connection is dropped.
+READ_TIMEOUT_SECONDS = 30.0
+
+#: Longest request or header line, and most header lines, in one head.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("", "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes the JSON API; one instance per request (threaded server)."""
+def _http_date() -> str:
+    """The current time as an RFC 9110 ``Date`` value (locale-independent)."""
+    t = time.gmtime()
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon]} {t.tm_year} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+
+
+class _Refused(ServeError):
+    """A request head the server will not serve; answered, then the connection closes."""
+
+    def __init__(self, status: int, code: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """Routes the JSON API; one instance per connection, one request at a time."""
 
     server_version = "dygroups-serve/1.0"
-    protocol_version = "HTTP/1.1"
+    #: ``StreamRequestHandler.setup`` sets ``TCP_NODELAY`` on the socket.
+    disable_nagle_algorithm = True
+    #: Whether the request declared a body that no route has read yet.
+    _unread_body = False
 
     # -- plumbing ----------------------------------------------------------
 
@@ -87,11 +139,96 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> GroupingService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def log_message(self, format: str, *args: Any) -> None:
-        _log.debug("%s - %s", self.address_string(), format % args)
+    def setup(self) -> None:
+        super().setup()
+        self.connection.settimeout(READ_TIMEOUT_SECONDS)
+
+    def handle(self) -> None:
+        """Serve requests until either side closes the connection or a read times out."""
+        try:
+            while self._handle_one():
+                pass
+        except TimeoutError:
+            _log.debug("%s - read timed out; closing", self.client_address[0])
+        except ConnectionError as error:
+            _log.debug("%s - client went away: %r", self.client_address[0], error)
+
+    def _handle_one(self) -> bool:
+        """Read, route and answer one request; whether the connection stays open."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False
+        self.method = self.path = ""
+        try:
+            self._read_head(line)
+        except _Refused as error:
+            # Refused before routing: counted and answered like any request.
+            self.close_connection = True
+            _obs.metrics_registry().counter("serve.http.requests").inc()
+            self._respond(error.status, error.envelope())
+            self._send(self.method or "-", self.path.partition("?")[0])
+            return False
+        getattr(self, f"do_{self.method}")()
+        return not self.close_connection
+
+    def _read_head(self, line: bytes) -> None:
+        """Parse the request line and headers into ``method``, ``path`` and ``headers``.
+
+        Raises:
+            _Refused: the head breaks a limit or a framing rule, or names
+                a method with no ``do_*`` handler.
+        """
+        if len(line) > _MAX_LINE:
+            raise _Refused(414, "uri_too_long", f"request line exceeds {_MAX_LINE} bytes")
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or not _HTTP_VERSION.fullmatch(words[2]):
+            raise _Refused(400, "invalid_request", f"malformed request line {line[:200]!r}")
+        self.method, self.path, version = words
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            raise _Refused(505, "http_version_not_supported", f"{version} is not supported")
+        headers: dict[str, str] = {}
+        for count in range(_MAX_HEADERS + 1):
+            raw = self.rfile.readline(_MAX_LINE + 1)
+            if len(raw) > _MAX_LINE:
+                raise _Refused(
+                    431, "header_fields_too_large", f"a header line exceeds {_MAX_LINE} bytes"
+                )
+            if not raw:
+                raise ConnectionAbortedError("client closed inside the request head")
+            if raw in (b"\r\n", b"\n"):
+                break
+            if count == _MAX_HEADERS:
+                raise _Refused(
+                    431, "header_fields_too_large", f"more than {_MAX_HEADERS} header lines"
+                )
+            name, colon, value = raw.decode("latin-1").partition(":")
+            if not colon or not name or name != name.strip():
+                raise _Refused(400, "invalid_request", f"malformed header line {raw[:200]!r}")
+            key = name.lower()
+            if key in headers:
+                if key == "content-length":
+                    raise _Refused(400, "invalid_request", "more than one Content-Length header")
+                headers[key] += ", " + value.strip()
+            else:
+                headers[key] = value.strip()
+        if "transfer-encoding" in headers:
+            raise _Refused(
+                501, "not_implemented", "Transfer-Encoding is not supported; send a Content-Length"
+            )
+        if not hasattr(self, f"do_{self.method}"):
+            raise _Refused(501, "not_implemented", f"method {self.method!r} is not supported")
+        self.headers = headers
+        tokens = {token.strip() for token in headers.get("connection", "").lower().split(",")}
+        if version == "HTTP/1.1":
+            self.close_connection = "close" in tokens
+            self._expect_continue = headers.get("expect", "").lower() == "100-continue"
+        else:
+            self.close_connection = "keep-alive" not in tokens
+            self._expect_continue = False
+        self._unread_body = headers.get("content-length", "0") != "0"
 
     def _read_body(self) -> Any:
-        header = (self.headers.get("Content-Length") or "0").strip()
+        header = (self.headers.get("content-length") or "0").strip()
         length = int(header) if _CONTENT_LENGTH.fullmatch(header) else -1
         if not 0 <= length <= MAX_BODY_BYTES:
             # The body stays unread, so the stream has no next request
@@ -101,9 +238,14 @@ class _Handler(BaseHTTPRequestHandler):
                 f"Content-Length must be a decimal integer in [0, {MAX_BODY_BYTES}], "
                 f"got {header!r}"
             )
+        self._unread_body = False
         if length == 0:
             return {}
+        if self._expect_continue:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         raw = self.rfile.read(length)
+        if len(raw) < length:
+            raise ConnectionAbortedError(f"client closed after {len(raw)} of {length} body bytes")
         try:
             return json.loads(raw)
         except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8/16/32
@@ -121,15 +263,32 @@ class _Handler(BaseHTTPRequestHandler):
         self._body = text.encode()
         self._content_type = content_type
 
-    def _send(self) -> None:
-        """Write the staged response: the header block, then the body."""
-        self.send_response(self._status)
-        self.send_header("Content-Type", self._content_type)
-        self.send_header("Content-Length", str(len(self._body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(self._body)
+    def _send(self, method: str, path: str) -> None:
+        """Count the staged response, then write it — head and body in one write.
+
+        The counters move first: a client holding the response must find
+        it in the next ``/metrics`` snapshot.
+        """
+        _obs.metrics_registry().counter(f"serve.http.status.{self._status // 100}xx").inc()
+        state = _obs.state()
+        if state is not None and state.journal is not None:
+            state.journal.emit("http_request", method=method, path=path, status=self._status)
+        _log.debug(
+            '%s - "%s %s" %d %d',
+            self.client_address[0], method, self.path, self._status, len(self._body),
+        )
+        if self._unread_body:
+            # A body no route read would be parsed as the next request.
+            self.close_connection = True
+        head = (
+            f"HTTP/1.1 {self._status} {_REASONS.get(self._status, '')}\r\n"
+            f"Server: {self.server_version}\r\n"
+            f"Date: {_http_date()}\r\n"
+            f"Content-Type: {self._content_type}\r\n"
+            f"Content-Length: {len(self._body)}\r\n"
+            + ("Connection: close\r\n\r\n" if self.close_connection else "\r\n")
+        )
+        self.wfile.write(head.encode("latin-1") + self._body)
 
     # -- request dispatch --------------------------------------------------
 
@@ -144,18 +303,15 @@ class _Handler(BaseHTTPRequestHandler):
                 self._route(method, path)
         except ServeError as error:
             self._respond(error.status, error.envelope())
+        except (TimeoutError, ConnectionError):
+            # The client stalled or left mid-body: no response; handle() ends the connection.
+            raise
         except Exception as error:
             _log.exception("unhandled error serving %s %s", method, path)
             self._respond(
                 500, {"error": {"code": "internal_error", "message": str(error)}}
             )
-        # Count the request before its response leaves: a client holding
-        # the response must find it in the next /metrics snapshot.
-        registry.counter(f"serve.http.status.{self._status // 100}xx").inc()
-        state = _obs.state()
-        if state is not None and state.journal is not None:
-            state.journal.emit("http_request", method=method, path=path, status=self._status)
-        self._send()
+        self._send(method, path)
 
     def _route(self, method: str, path: str) -> None:
         if method == "GET" and path == "/healthz":
@@ -237,7 +393,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("DELETE")
 
 
-class GroupingHTTPServer(ThreadingHTTPServer):
+class GroupingHTTPServer(socketserver.ThreadingTCPServer):
     """Threaded HTTP server bound to one :class:`GroupingService`.
 
     Request threads are daemonic so a hung client can never block

@@ -2,7 +2,8 @@
 
 A :class:`CohortSession` is one live cohort: its immutable configuration
 (policy, mode, ``k``, learning rate, seed), its evolving state (current
-skills, the per-round generator, gains, optional history), and a private
+skills, the per-round generator — built from the seed at the first
+round — gains, optional history), and a private
 ``_lock`` that serializes round advancement — concurrent ``advance``
 calls on the same cohort interleave safely and every round gets a unique
 index.  Locks come from the :mod:`repro.analysis.sanitizer` factories:
@@ -82,9 +83,10 @@ class CohortSession:
         self.k = int(k)
         self.rate = float(rate)
         self.seed = int(seed)
-        self.initial_skills = skills.copy()
         self.skills = skills.copy()
-        self.rng = np.random.default_rng(seed)
+        # Built on the first round: a condensed cohort that never plays
+        # one never pays for a generator (see _rng_locked).
+        self._rng: "np.random.Generator | None" = None
         self.round_gains: list[float] = []
         self.skill_history: "list[np.ndarray] | None" = [skills.copy()] if record_history else None
         self._lock = _sanitize.lock("serve.session")
@@ -131,7 +133,7 @@ class CohortSession:
             outcome = self._kernel.step(
                 self.skills,
                 self.k,
-                self.rng,
+                self._rng_locked(),
                 round_index=len(self.round_gains),
                 propose=propose,
             )
@@ -144,6 +146,17 @@ class CohortSession:
                 "gain": outcome.gain,
                 "groups": [list(group) for group in outcome.grouping],
             }
+
+    def _rng_locked(self) -> np.random.Generator:
+        """The round generator, seeded with ``seed`` when first needed.
+
+        A generator seeded with ``seed`` yields the same stream whenever
+        it is built, so building it late keeps rounds bit-identical to
+        ``simulate()``.
+        """
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     def describe(self, *, include_history: bool = False) -> dict[str, Any]:
         """JSON-ready summary of the cohort and its trajectory."""

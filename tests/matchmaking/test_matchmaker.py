@@ -294,6 +294,59 @@ class TestMetrics:
             service.close()
 
 
+    def test_oldest_wait_gauge_is_the_longest_pending_wait(self, clock):
+        """After every join, leave and tick the gauge equals a brute-force max."""
+        service = make_service(
+            clock,
+            specs=[
+                {"name": "pairs", "n": 4, "k": 2, "deadline_seconds": 10.0},
+                {"name": "six", "n": 6, "k": 2, "deadline_seconds": 5.0},
+            ],
+        )
+        matchmaker = service.matchmaker
+
+        def check() -> None:
+            now = clock()
+            waits = [
+                participant.wait_seconds(now)
+                for name in matchmaker.specs
+                for participant in matchmaker.queue.pending(name)
+            ]
+            gauge = obs_runtime.metrics_registry().gauge("matchmaking.oldest_wait_seconds")
+            assert gauge.value == round(max(waits, default=0.0), 6)
+
+        # (seconds the clock advances first, operation); the gauge moves on
+        # operations only, so each check follows one.
+        steps = [
+            (0.0, lambda: service.join({"skill": 3.0, "spec": "six", "participant": "s1"})),
+            (1.5, lambda: service.join({"skill": 2.0, "spec": "pairs", "participant": "p1"})),
+            (0.25, lambda: service.join({"skill": 5.0, "spec": "six", "participant": "s2"})),
+            (0.0, lambda: service.join({"skill": 1.0, "spec": "pairs", "participant": "p2"})),
+            (1.0, lambda: service.leave_queue("s1")),  # the longest wait leaves
+            (0.0, lambda: service.join({"skill": 4.0, "spec": "pairs", "participant": "p3"})),
+            (0.5, lambda: service.join({"skill": 6.0, "spec": "pairs", "participant": "p4"})),  # fill
+            (0.0, lambda: service.join({"skill": 2.5, "spec": "six", "participant": "s3"})),
+            (0.0, lambda: service.join({"skill": 7.0, "spec": "six", "participant": "s4"})),
+            (0.0, lambda: service.join({"skill": 1.5, "spec": "six", "participant": "s5"})),
+            (0.0, lambda: service.join({"skill": 3.5, "spec": "six", "participant": "s6"})),
+            (1.0, matchmaker.tick),  # nothing due yet
+            (1.0, matchmaker.tick),  # six's deadline condenses four of its five
+            (1.0, lambda: service.join({"skill": 2.0, "spec": "pairs", "participant": "p5"})),
+            (10.0, matchmaker.tick),  # both leftovers fall below min_fill and expire
+        ]
+        try:
+            for seconds, operation in steps:
+                clock.advance(seconds)
+                operation()
+                check()
+            assert service.participant_status("p4")["status"] == "matched"
+            assert service.participant_status("s2")["status"] == "matched"
+            assert service.participant_status("p5")["status"] == "expired"
+            assert service.matchmaking_snapshot()["waiting"] == 0
+        finally:
+            service.close()
+
+
 class TestBackgroundCondenser:
     def test_tick_thread_flushes_a_deadline_wave(self):
         import time as _time

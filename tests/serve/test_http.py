@@ -7,8 +7,11 @@ import json
 import os
 import pathlib
 import socket
+import statistics
 import subprocess
 import sys
+import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from repro.baselines.registry import make_policy
 from repro.core.simulation import simulate
 from repro.obs import runtime
+from repro.serve import http as serve_http
 from repro.serve import (
     CohortNotFound,
     GroupingService,
@@ -59,6 +63,37 @@ def _raw_post(server, length: "str | None", body: bytes) -> "tuple[int, dict, st
         response = http.client.HTTPResponse(sock)
         response.begin()
         return response.status, json.loads(response.read()), response.getheader("Connection")
+
+
+def _exchange(server, data: bytes) -> "tuple[int, str | None, bytes, bool]":
+    """Send raw request bytes on a fresh socket; read one response.
+
+    Returns the status, the ``Content-Type``, the body and whether the
+    server closed the connection after the response.
+    """
+    with socket.create_connection(server.server_address[:2], timeout=3.0) as sock:
+        sock.sendall(data)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        body = response.read()
+        try:
+            closed = sock.recv(1) == b""
+        except ConnectionResetError:
+            closed = True
+        except TimeoutError:
+            closed = False
+        return response.status, response.getheader("Content-Type"), body, closed
+
+
+def _recording_handler(server, threads: list) -> None:
+    """Make ``server`` note each connection's handler thread in ``threads``."""
+
+    class Probe(server.RequestHandlerClass):
+        def setup(self) -> None:
+            threads.append(threading.current_thread())
+            super().setup()
+
+    server.RequestHandlerClass = Probe
 
 
 class _CountingWriter:
@@ -145,9 +180,10 @@ class TestOperationalEndpoints:
 
         server.RequestHandlerClass = Probe
         client.healthz()
-        # The header block and the body each leave after the second
-        # request is already in the timer and the status counter.
-        assert seen == [(2, 2), (2, 2)]
+        # The response leaves in one write (head and body together: a
+        # second write would wait for the client's delayed ACK), after the
+        # second request is already in the timer and the status counter.
+        assert seen == [(2, 2)]
 
     def test_metrics_exposes_gauges(self, client):
         info = client.create_cohort([1.0, 2.0, 3.0, 4.0], 2)
@@ -286,6 +322,204 @@ class TestRequestFraming:
                 assert response.status == 201
                 assert response.getheader("Connection") is None
                 response.read()
+
+
+#: Head limits the stdlib parser also enforced: (raw request, status, envelope code).
+_HEAD_LIMITS = [
+    pytest.param(
+        b"GET /" + b"a" * 65_600 + b" HTTP/1.1\r\n\r\n",
+        414,
+        "uri_too_long",
+        id="request-line-over-64KiB",
+    ),
+    pytest.param(
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 65_600 + b"\r\n\r\n",
+        431,
+        "header_fields_too_large",
+        id="header-line-over-64KiB",
+    ),
+    pytest.param(
+        b"GET /healthz HTTP/1.1\r\n" + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n",
+        431,
+        "header_fields_too_large",
+        id="101-headers",
+    ),
+]
+
+_COHORT_BODY = b'{"skills": [1.0, 2.0], "k": 1}'  # 30 bytes
+
+#: Requests the stdlib server misread.  It answered a bad request line
+#: with a bare HTML page and no status line (as if to HTTP/0.9), treated
+#: a chunked body as empty and then parsed the chunks as a request, and
+#: read only the first of two Content-Length values.
+_REFUSALS = [
+    pytest.param(b"GET /healthz HTTP/2.0\r\n\r\n", 505, "http_version_not_supported", id="http-2.0"),
+    pytest.param(b"NONSENSE\r\n\r\n", 400, "invalid_request", id="one-word-request-line"),
+    pytest.param(b"GET /healthz HTTP/one\r\n\r\n", 400, "invalid_request", id="malformed-version"),
+    pytest.param(
+        b"POST /v1/cohorts HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"1e\r\n" + _COHORT_BODY + b"\r\n0\r\n\r\n",
+        501,
+        "not_implemented",
+        id="transfer-encoding-chunked",
+    ),
+    pytest.param(
+        b"POST /v1/cohorts HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 30\r\n\r\n"
+        + _COHORT_BODY,
+        400,
+        "invalid_request",
+        id="two-content-lengths",
+    ),
+    pytest.param(b"PATCH /healthz HTTP/1.1\r\n\r\n", 501, "not_implemented", id="no-such-method"),
+]
+
+
+class TestHeadParity:
+    """What the stdlib head parser did, the handler still does."""
+
+    @pytest.mark.parametrize("data,status,code", _HEAD_LIMITS)
+    def test_head_limit_answers_then_closes(self, server, data, status, code):
+        answered, _, _, closed = _exchange(server, data)
+        assert answered == status
+        assert closed
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_connection_closes_after_the_response(self, server, data):
+        status, _, _, closed = _exchange(server, data)
+        assert status == 200
+        assert closed
+
+    def test_http_1_0_keep_alive_stays_open(self, server):
+        with socket.create_connection(server.server_address[:2], timeout=3.0) as sock:
+            for _ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                assert response.status == 200
+                response.read()
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        head = (
+            b"POST /v1/cohorts HTTP/1.1\r\nHost: 127.0.0.1\r\nExpect: 100-continue\r\n"
+            + b"Content-Length: %d\r\n\r\n" % len(_COHORT_BODY)
+        )
+        with socket.create_connection(server.server_address[:2], timeout=3.0) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)
+                assert chunk, f"closed before 100 Continue, after {interim!r}"
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(_COHORT_BODY)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 201
+            assert json.loads(response.read())["n"] == 2
+
+
+class TestTransport:
+    def test_keep_alive_round_trip_is_not_delayed(self, server, client):
+        """A response split over two writes waits ≥ 40 ms for a delayed ACK."""
+        info = client.create_cohort(list(np.linspace(1.0, 9.0, 120)), 10, seed=3)
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10.0)
+        try:
+            elapsed = []
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request(
+                    "POST", f"/v1/cohorts/{info['cohort']}/rounds", body=b'{"rounds": 1}'
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                elapsed.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
+
+    def test_accepted_socket_sets_tcp_nodelay(self, server, client):
+        seen: list = []
+
+        class Probe(server.RequestHandlerClass):
+            def setup(self) -> None:
+                super().setup()
+                seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        server.RequestHandlerClass = Probe
+        client.healthz()
+        assert len(seen) == 1 and seen[0] != 0
+
+    @pytest.mark.parametrize("data,status,code", _HEAD_LIMITS + _REFUSALS)
+    def test_refusal_is_a_json_envelope_then_closes(self, server, data, status, code):
+        answered, content_type, body, closed = _exchange(server, data)
+        assert (answered, content_type) == (status, "application/json")
+        assert json.loads(body)["error"]["code"] == code
+        assert closed
+
+    def test_body_no_route_reads_closes_the_connection(self, server):
+        # The unread body would otherwise be parsed as the next request.
+        status, _, _, closed = _exchange(
+            server, b"GET /healthz HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+        )
+        assert status == 200
+        assert closed
+
+    def test_serving_imports_no_http_client_stack(self):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.serve.http, repro.matchmaking.matchmaker\n"
+            "banned = ('http.server', 'http.client', 'ssl', 'urllib.request', 'email.parser')\n"
+            "print(sorted(name for name in banned if name in sys.modules))\n"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True,
+        ).stdout
+        assert output.strip() == "[]"
+
+    def test_stalled_body_read_times_out(self, server, monkeypatch):
+        monkeypatch.setattr(serve_http, "READ_TIMEOUT_SECONDS", 0.5, raising=False)
+        threads: list = []
+        _recording_handler(server, threads)
+        with socket.create_connection(server.server_address[:2], timeout=3.0) as sock:
+            sock.sendall(b"POST /v1/cohorts HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}")
+            assert sock.recv(1) == b""  # EOF, no response
+        threads[0].join(timeout=3.0)
+        assert not threads[0].is_alive()
+
+    def test_client_that_leaves_early_is_not_an_error(self, server, monkeypatch):
+        errors: list = []
+        monkeypatch.setattr(
+            serve_http.GroupingHTTPServer,
+            "handle_error",
+            lambda self, request, address: errors.append(address),
+        )
+        threads: list = []
+        _recording_handler(server, threads)
+        request = b"POST /v1/cohorts HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        for data in [request % 100 + b"{}"] * 5 + [request % len(_COHORT_BODY) + _COHORT_BODY]:
+            with socket.create_connection(server.server_address[:2], timeout=3.0) as sock:
+                sock.sendall(data)
+        deadline = time.monotonic() + 5.0
+        while len(threads) < 6 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert len(threads) == 6 and not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 _FINALIZER_SIGTERM = """

@@ -79,10 +79,19 @@ class TestCohortSession:
         with pytest.raises(ValueError, match="k=2"):
             session.advance_round(lambda s, k, rng: dygroups_star_local(s, 2))
 
-    def test_initial_skills_are_copied(self, skills):
+    def test_caller_skills_are_not_mutated(self, skills):
+        before = skills.copy()
         session = build_session("c1", skills, k=3)
         session.advance_round()
-        assert np.array_equal(session.initial_skills, skills)
+        assert np.array_equal(skills, before)
+        assert not np.array_equal(session.skills, before)
+
+    def test_generator_is_built_at_the_first_round(self, skills):
+        # An idle cohort (a condensed one that never plays) holds no generator.
+        session = build_session("c1", skills, k=3, seed=11)
+        assert session._rng is None
+        session.advance_round()
+        assert session._rng is not None
 
 
 class TestSessionStore:
