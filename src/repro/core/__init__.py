@@ -10,8 +10,7 @@ Contents:
 * :mod:`repro.core.objective` — LG, the telescoped objective, b-distances;
 * :mod:`repro.core.simulation` — the α-round engine and policy protocol;
 * :mod:`repro.core.dygroups` — the DyGroups driver (Algorithm 1);
-* :mod:`repro.core.batch` — batched DyGroups proposals and the shared-memory
-  skill-matrix transport;
+* :mod:`repro.core.batch` — batched DyGroups proposals;
 * :mod:`repro.core.vectorized` — the stacked-trial engine (``R`` trials
   advance per round through batched kernels, bit-identical to scalar).
 """

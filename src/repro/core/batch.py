@@ -1,4 +1,4 @@
-"""Batched DyGroups proposals and the shared-memory skill-matrix transport.
+"""Batched DyGroups proposals.
 
 Both ``DYGROUPS-MODE-LOCAL`` groupers are pure functions of the
 *descending order* of the skill array (Algorithms 2 and 3), so proposing
@@ -27,8 +27,6 @@ The pieces, used by the stacked-trial simulation engine
   giving the C-ordered ``(m, n)`` members matrix.
 * :func:`as_skills_matrix` — validate/coerce a batch of skill vectors to
   a fresh ``(m, n)`` float64 matrix.
-* :class:`SharedMatrix` — the zero-pickle transport that ships stacked
-  skill matrices to the worker pool.
 
 Bit-identity with the scalar groupers is guaranteed (and pinned by
 tests): row ``i`` of ``listing_members(descending_orders(S),
@@ -53,7 +51,6 @@ __all__ = [
     "flat_rank_listing",
     "listing_members",
     "rank_structure",
-    "shared_memory_available",
 ]
 
 #: Modes with a vectorizable rank-space grouper.
@@ -178,6 +175,10 @@ def as_skills_matrix(skills: np.ndarray, *, name: str = "skills") -> np.ndarray:
     return matrix
 
 
+# Nothing in the package uses this class: pool workers draw their own
+# skills.  It stays because perfbench's ``layers.install`` wraps
+# ``SharedMatrix.create`` (its ``experiments.parallel.share`` layer) and
+# fails without it; it goes with the benchmark change that drops that layer.
 class SharedMatrix:
     """A 2-D ``float64`` matrix backed by a named shared-memory segment.
 
@@ -296,27 +297,3 @@ class SharedMatrix:
     def __repr__(self) -> str:
         role = "owner" if self.owner else "reader"
         return f"SharedMatrix(name={self._shm.name!r}, shape={self.shape}, {role})"  # type: ignore[attr-defined]
-
-
-@lru_cache(maxsize=1)
-def shared_memory_available() -> bool:
-    """Whether this platform can round-trip a shared-memory segment.
-
-    Probed once per process (create → attach → unlink a 1-byte segment);
-    the parallel executor falls back to pickling skill matrices when the
-    probe fails (e.g. no ``/dev/shm`` in a locked-down container).
-    """
-    try:
-        probe = SharedMatrix.create(np.ones((1, 1)))
-    except Exception:
-        return False
-    try:
-        reader = SharedMatrix.attach(probe.meta)
-        ok = bool(reader.array()[0, 0] == 1.0)  # noqa: DYG302 - exact round-trip guard
-        reader.close()
-        return ok
-    except Exception:
-        return False
-    finally:
-        probe.close()
-        probe.unlink()

@@ -43,12 +43,10 @@ import numpy as np
 
 from repro._validation import require_divisible_groups, require_positive_int
 from repro.core.batch import (
-    SharedMatrix,
     as_skills_matrix,
     descending_orders,
     flat_rank_listing,
     listing_members,
-    shared_memory_available,
 )
 from repro.core.gain_functions import GainFunction, LinearGain
 from repro.core.interactions import InteractionMode, get_mode
@@ -61,9 +59,7 @@ from repro.obs import trace as _trace
 __all__ = [
     "ENGINES",
     "BatchSimulationResult",
-    "SharedMatrix",
     "VectorizedPolicy",
-    "shared_memory_available",
     "simulate_many",
     "update_clique_many",
     "update_star_many",

@@ -1,4 +1,4 @@
-"""Process-parallel executor: warm worker pool, streamed chunks, shared memory.
+"""Process-parallel executor: warm worker pool, streamed chunks.
 
 Every run of a spec derives all of its randomness from ``spec.seed + i``
 and nothing else, and the stacked-trial kernels of
@@ -26,15 +26,11 @@ Work is **streamed**, not pre-split: the unit list is cut into
 they finish, so an unlucky slow chunk no longer serializes the whole
 sweep behind one worker.
 
-Skill arrays travel through **shared memory**, not pickles: the parent
-draws every run's initial skills (the identical
+Each worker **draws its own runs' skills**: a chunk carries only specs
+and (spec index, run index) units, and the worker makes the identical
 :func:`~repro.experiments.runner.draw_skills` calls the serial path
-makes), stacks them per grid point into
-:class:`repro.core.batch.SharedMatrix` segments, and ships only
-``(name, shape)`` descriptors with each chunk; workers map the same
-physical pages read-only.  Platforms without shared memory fall back
-to workers re-drawing their own rows — bit-identical either way, since
-both sides run the same draw.
+makes (run ``i`` seeds ``spec.seed + i``), so no skill array crosses a
+process boundary and the parent draws nothing.
 
 Determinism contract: units are ordered (grid point, run index), split
 into contiguous chunks, executed with the exact same per-run seeds and
@@ -67,7 +63,7 @@ import atexit
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterator, Sequence
@@ -75,7 +71,6 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.analysis import sanitizer as _sanitize
-from repro.core.batch import SharedMatrix, shared_memory_available
 from repro.experiments import runner as _runner
 from repro.experiments.spec import ExperimentSpec
 from repro.obs import runtime as _obs
@@ -151,51 +146,37 @@ def _warmup_worker() -> int:
 
 
 def _run_units_chunk(
-    payload: "tuple[tuple[ExperimentSpec, ...], tuple[tuple[int, int], ...], bool, tuple]",
+    payload: "tuple[tuple[ExperimentSpec, ...], tuple[tuple[int, int], ...], bool]",
 ) -> "tuple[int, list[tuple[int, _runner._RunsData]], dict]":
     """Execute one contiguous chunk of (spec index, run index) units.
 
     Consecutive units of the same spec are executed as one stacked
-    :func:`~repro.experiments.runner._execute_runs` call, so a chunk
-    covering a whole grid point still vectorizes across its runs.  When
-    the payload carries shared-memory descriptors, the spec's initial
-    skills are sliced from the parent's segment instead of re-drawn.
-    Returns the worker pid, the per-spec accumulators in unit order, and
-    the worker's metrics snapshot for this chunk (the registry is reset
-    on entry — a warm worker survives many chunks).
+    :func:`~repro.experiments.runner._execute_runs` call, which draws
+    those runs' initial skills here in the worker, so a chunk covering a
+    whole grid point still vectorizes across its runs.  Returns the
+    worker pid, the per-spec accumulators in unit order, and the
+    worker's metrics snapshot for this chunk (the registry is reset on
+    entry — a warm worker survives many chunks).
     """
-    specs, units, keep_results, shm_metas = payload
+    specs, units, keep_results = payload
     _obs.metrics_registry().reset()
     results: list[tuple[int, _runner._RunsData]] = []
-    attached: "dict[int, SharedMatrix]" = {}
-    try:
-        start = 0
-        while start < len(units):
-            spec_index = units[start][0]
-            stop = start
-            while stop < len(units) and units[stop][0] == spec_index:
-                stop += 1
-            run_indices = [run for _, run in units[start:stop]]
-            skills_matrix = None
-            if shm_metas[spec_index] is not None:
-                if spec_index not in attached:
-                    attached[spec_index] = SharedMatrix.attach(shm_metas[spec_index])
-                skills_matrix = attached[spec_index].array()[run_indices]
-            results.append(
-                (
-                    spec_index,
-                    _runner._execute_runs(
-                        specs[spec_index],
-                        run_indices,
-                        keep_results=keep_results,
-                        skills_matrix=skills_matrix,
-                    ),
-                )
+    start = 0
+    while start < len(units):
+        spec_index = units[start][0]
+        stop = start
+        while stop < len(units) and units[stop][0] == spec_index:
+            stop += 1
+        run_indices = [run for _, run in units[start:stop]]
+        results.append(
+            (
+                spec_index,
+                _runner._execute_runs(
+                    specs[spec_index], run_indices, keep_results=keep_results
+                ),
             )
-            start = stop
-    finally:
-        for handle in attached.values():
-            handle.close()
+        )
+        start = stop
     return os.getpid(), results, _obs.metrics_registry().snapshot()
 
 
@@ -246,22 +227,10 @@ class WorkerPool:
     Args:
         workers: worker-process count (``None``/0 defer to
             :data:`WORKERS_ENV`).
-        use_shared_memory: ship skill matrices via
-            :class:`~repro.core.batch.SharedMatrix` descriptors instead
-            of letting workers re-draw them.  ``None`` probes the
-            platform; ``False`` runs the re-draw fallback (tests use it
-            to cover platforms without shared memory).
     """
 
-    def __init__(
-        self,
-        workers: "int | None" = None,
-        *,
-        use_shared_memory: "bool | None" = None,
-    ) -> None:
+    def __init__(self, workers: "int | None" = None) -> None:
         self.workers = resolve_workers(workers)
-        wanted = True if use_shared_memory is None else bool(use_shared_memory)
-        self.use_shared_memory = wanted and shared_memory_available()
         self._executor: "ProcessPoolExecutor | None" = None
         self._chunks_served = 0
         self._worker_slots: dict[int, int] = {}
@@ -309,12 +278,11 @@ class WorkerPool:
                 workers=self.workers,
                 processes=len(pids),
                 warmup_seconds=round(elapsed, 9),
-                shared_memory=self.use_shared_memory,
                 utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             )
         _log.info(
-            "worker pool warm: workers=%d processes=%d warmup=%.3fs shm=%s",
-            self.workers, len(pids), elapsed, self.use_shared_memory,
+            "worker pool warm: workers=%d processes=%d warmup=%.3fs",
+            self.workers, len(pids), elapsed,
         )
         return self._executor
 
@@ -336,32 +304,35 @@ class WorkerPool:
         but not yet collected.
 
         Raises:
-            WorkerPoolError: a worker process died; the pool is abandoned
+            WorkerPoolError: a worker process died, mid-chunk or while
+                the pool sat idle between calls; the pool is abandoned
                 (the next use forks a fresh one) and no result is lost
                 silently.
         """
         executor = self.ensure()
         queue_gauge = _obs.metrics_registry().gauge("parallel.pool.queue_depth")
-        futures = [executor.submit(fn, payload) for payload in payloads]
-        queue_gauge.inc(len(futures))
+        futures: "list[Future]" = []
         collected = 0
         try:
+            # A worker that died while the pool sat idle has already broken
+            # the executor, so submit raises too: it must run in here.
+            futures = [executor.submit(fn, payload) for payload in payloads]
+            queue_gauge.inc(len(futures))
             for future in futures:
                 _sanitize.check_blocking("pool.result(chunk)")
-                try:
-                    result = future.result()
-                except BrokenProcessPool as error:
-                    raise WorkerPoolError(
-                        f"a worker process died executing chunk {collected}; "
-                        f"the pool was abandoned and will respawn on next use"
-                    ) from error
+                result = future.result()
                 collected += 1
                 queue_gauge.dec()
                 self._chunks_served += 1
                 yield result
-        except BaseException:
+        except BaseException as error:
             queue_gauge.dec(len(futures) - collected)
             self._abandon()
+            if isinstance(error, BrokenProcessPool):
+                raise WorkerPoolError(
+                    f"a worker process died before chunk {collected} was collected; "
+                    f"the pool was abandoned and will respawn on next use"
+                ) from error
             raise
 
     def account_chunk(self, pid: int) -> None:
@@ -402,7 +373,7 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         state = "warm" if self.started else "cold"
-        return f"WorkerPool(workers={self.workers}, {state}, shm={self.use_shared_memory})"
+        return f"WorkerPool(workers={self.workers}, {state})"
 
 
 #: The process-wide warm pool every call without a pool of its own reuses.
@@ -478,47 +449,25 @@ def _parallel_execute(
             workers=workers,
             chunks=len(chunks),
             units=len(units),
-            shared_memory=pool.use_shared_memory,
             utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
     _log.info(
-        "parallel execute: specs=%d units=%d workers=%d chunks=%d shm=%s",
-        len(specs), len(units), workers, len(chunks), pool.use_shared_memory,
+        "parallel execute: specs=%d units=%d workers=%d chunks=%d",
+        len(specs), len(units), workers, len(chunks),
     )
     merged = [_runner._RunsData.empty(spec.algorithms) for spec in specs]
     started = time.perf_counter()
-    # The parent draws every run's initial skills — the identical
-    # draw_skills calls serial execution makes — and shares them once per
-    # grid point; chunks then carry (name, shape) descriptors instead of
-    # pickled arrays.  Any spec whose segment cannot be created falls
-    # back to workers re-drawing (same bits either way).
-    shared: "list[SharedMatrix | None]" = [None] * len(specs)
-    if pool.use_shared_memory:
-        for index, spec in enumerate(specs):
-            try:
-                shared[index] = SharedMatrix.create(
-                    np.stack([_runner.draw_skills(spec, i) for i in range(spec.runs)])
-                )
-            except Exception:  # pragma: no cover - platform-dependent
-                shared[index] = None
-    shm_metas = tuple(handle.meta if handle is not None else None for handle in shared)
-    try:
-        payloads = [(tuple(specs), chunk, keep_results, shm_metas) for chunk in chunks]
-        with _trace.span("experiments.parallel", workers=workers, chunks=len(chunks)):
-            for index, (pid, chunk_results, snapshot) in enumerate(
-                pool.map_chunks(_run_units_chunk, payloads)
-            ):
-                for spec_index, data in chunk_results:
-                    merged[spec_index].extend(data)
-                _merge_metrics_snapshot(snapshot)
-                pool.account_chunk(pid)
-                if journal is not None:
-                    journal.emit("parallel_chunk", index=index, units=len(chunks[index]))
-    finally:
-        for handle in shared:
-            if handle is not None:
-                handle.close()
-                handle.unlink()
+    payloads = [(tuple(specs), chunk, keep_results) for chunk in chunks]
+    with _trace.span("experiments.parallel", workers=workers, chunks=len(chunks)):
+        for index, (pid, chunk_results, snapshot) in enumerate(
+            pool.map_chunks(_run_units_chunk, payloads)
+        ):
+            for spec_index, data in chunk_results:
+                merged[spec_index].extend(data)
+            _merge_metrics_snapshot(snapshot)
+            pool.account_chunk(pid)
+            if journal is not None:
+                journal.emit("parallel_chunk", index=index, units=len(chunks[index]))
     if journal is not None:
         journal.emit(
             "parallel_end",

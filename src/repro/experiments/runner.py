@@ -18,7 +18,8 @@ round is amortized uniformly over its trials).
 
 Process parallelism: ``run_spec(spec, workers=N)`` (or ``spec.workers`` /
 the ``REPRO_WORKERS`` environment variable) fans the runs out over worker
-processes via :mod:`repro.experiments.parallel`; results are merged in
+processes via :mod:`repro.experiments.parallel`; each worker draws its
+own runs' skills with :func:`draw_skills`, and results are merged in
 deterministic run order and are bit-identical to serial execution.
 
 Instrumentation: each algorithm run is timed with the
@@ -147,34 +148,22 @@ def _execute_runs(
     run_indices: Sequence[int],
     *,
     keep_results: bool = False,
-    skills_matrix: "np.ndarray | None" = None,
 ) -> _RunsData:
     """Execute the given runs of ``spec`` for every algorithm.
 
     The shared work kernel behind serial :func:`run_spec` and the
     process-parallel executor: a chunk of run indices in, per-algorithm
     accumulators out.  Per-run results depend only on ``spec`` and the
-    run index (all randomness derives from ``spec.seed + i`` and the
-    batched kernels are row-independent), so any chunking of the index
-    set concatenates back to the identical totals.
-
-    ``skills_matrix`` optionally supplies the initial skills — row ``j``
-    for run ``run_indices[j]`` — in place of per-run :func:`draw_skills`
-    calls.  The parallel executor passes shared-memory views whose rows
-    the parent drew with the exact same ``draw_skills``, so outcomes are
-    unchanged bit for bit; rows may be read-only (both engines copy
-    their inputs before mutating).
+    run index (all randomness, the :func:`draw_skills` draw included,
+    derives from ``spec.seed + i`` and the batched kernels are
+    row-independent), so any chunking of the index set concatenates
+    back to the identical totals.
     """
     indices = list(run_indices)
     data = _RunsData.empty(spec.algorithms)
     if not indices:
         return data
-    if skills_matrix is None:
-        skills_matrix = np.stack([draw_skills(spec, i) for i in indices])
-    elif len(skills_matrix) != len(indices):
-        raise ValueError(
-            f"skills_matrix has {len(skills_matrix)} rows for {len(indices)} run indices"
-        )
+    skills = np.stack([draw_skills(spec, i) for i in indices])
     obs = _obs.state()
     seeds = [spec.seed + i for i in indices]
     for name in spec.algorithms:
@@ -184,7 +173,7 @@ def _execute_runs(
             with timer.time():
                 batch = simulate_many(
                     policy,
-                    skills_matrix,
+                    skills,
                     k=spec.k,
                     alpha=spec.alpha,
                     mode=spec.mode,

@@ -9,9 +9,13 @@ concurrent work and are deliberately excluded from the comparisons.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
-from repro.core.batch import shared_memory_available
+from repro.experiments import runner
 from repro.experiments.parallel import (
     WORKERS_ENV,
     WorkerPool,
@@ -142,6 +146,22 @@ class TestRunSpecParallel:
         one = spec.with_(runs=1)
         assert_gains_equal(run_spec(one), run_spec_parallel(one, workers=2))
 
+    def test_parent_process_draws_no_skills(self, spec, monkeypatch):
+        serial = run_spec(spec)
+        draws = []
+        original = runner.draw_skills
+
+        def counting_draw(spec, run_index):
+            # A worker forked while this is patched appends to its own
+            # copy of the list, so the parent's list counts parent draws.
+            draws.append(run_index)
+            return original(spec, run_index)
+
+        monkeypatch.setattr(runner, "draw_skills", counting_draw)
+        parallel = run_spec_parallel(spec, workers=2)
+        assert draws == []
+        assert_gains_equal(serial, parallel)
+
 
 class TestSweepParallel:
     def test_parallel_sweep_equals_serial(self, spec):
@@ -192,18 +212,6 @@ class TestWorkerPool:
         for left, right in zip(serial, parallel):
             assert_gains_equal(left, right)
 
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="POSIX shared memory unavailable"
-    )
-    def test_shared_memory_on_and_off_are_bit_identical(self, spec):
-        serial = run_spec(spec)
-        with WorkerPool(2, use_shared_memory=True) as shm_pool:
-            via_shm = run_spec_parallel(spec, workers=2, pool=shm_pool)
-        with WorkerPool(2, use_shared_memory=False) as plain_pool:
-            via_pickle = run_spec_parallel(spec, workers=2, pool=plain_pool)
-        assert_gains_equal(serial, via_shm)
-        assert_gains_equal(serial, via_pickle)
-
     def test_worker_crash_raises_and_pool_respawns(self, spec):
         with WorkerPool(2) as pool:
             with pytest.raises(WorkerPoolError, match="worker process died"):
@@ -212,6 +220,26 @@ class TestWorkerPool:
             # The next use forks a fresh pool and serves correct results.
             reborn = run_spec_parallel(spec, workers=2, pool=pool)
         assert_gains_equal(run_spec(spec), reborn)
+
+    def test_idle_worker_death_raises_once_and_pool_respawns(self, spec):
+        serial = run_spec(spec)
+        depth = runtime.metrics_registry().gauge("parallel.pool.queue_depth")
+        with WorkerPool(2) as pool:
+            executor = pool.ensure()
+            os.kill(executor.submit(os.getpid).result(), signal.SIGKILL)
+            # The stdlib executor marks itself broken once its manager
+            # thread reaps the dead worker.
+            deadline = time.monotonic() + 5.0
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._broken, "the executor never saw the worker die"
+            before = depth.value
+            with pytest.raises(WorkerPoolError, match="worker process died"):
+                run_spec_parallel(spec, workers=2, pool=pool)
+            assert not pool.started, "a broken pool must be abandoned"
+            assert depth.value == before
+            reborn = run_spec_parallel(spec, workers=2, pool=pool)
+        assert_gains_equal(serial, reborn)
 
     def test_warmup_timer_and_journal_lifecycle(self, spec, tmp_path):
         path = tmp_path / "pool.jsonl"

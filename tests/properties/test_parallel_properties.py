@@ -1,9 +1,9 @@
 """Property-based tests for warm-pool execution bit-identity.
 
 The contract: chunking randomized specs over a persistent warm worker
-pool — with or without shared-memory skill transport — changes nothing
-about any gain field.  Per-run seeds are ``spec.seed + i`` either way,
-so serial, per-call-pool, and warm-pool execution must agree exactly.
+pool changes nothing about any gain field.  Per-run seeds are
+``spec.seed + i`` either way, so serial and warm-pool execution must
+agree exactly.
 
 One module-scoped pool serves every example: that is precisely the
 reuse pattern the pool exists for, and it keeps the property affordable
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import shared_memory_available
 from repro.experiments.parallel import WorkerPool, run_spec_parallel
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
@@ -55,15 +54,3 @@ def test_warm_pool_equals_serial(warm_pool, spec):
     serial = run_spec(spec)
     pooled = run_spec_parallel(spec, workers=2, pool=warm_pool)
     assert gains_of(pooled) == gains_of(serial)
-
-
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
-@given(spec=small_specs())
-@settings(max_examples=4, deadline=None)
-def test_shared_memory_transport_is_invisible(spec):
-    serial = run_spec(spec)
-    with WorkerPool(2, use_shared_memory=True) as shm_pool:
-        via_shm = run_spec_parallel(spec, workers=2, pool=shm_pool)
-    assert gains_of(via_shm) == gains_of(serial)

@@ -212,6 +212,7 @@ class TestOperationalEndpoints:
     def test_metrics_unknown_format_is_400(self, server):
         with pytest.raises(urllib.request.HTTPError) as excinfo:
             urllib.request.urlopen(server.url + "/metrics?format=xml")
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_request_histogram_retention_is_bounded(self, client):
