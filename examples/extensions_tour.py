@@ -62,7 +62,7 @@ def variable_sizes(skills: np.ndarray) -> None:
     print(f"   1 big + 4 small:     gain {lopsided:12.1f}\n")
 
 
-def affinity(skills: np.ndarray) -> None:
+def affinity(skills: np.ndarray) -> None:  # noqa: DYG201 — simulate() validates the slice
     print("3. affinity-aware bi-criteria grouping (λ sweep; cohort of 100, k=10)")
     small = skills[:100]
     for weight in (0.0, 0.3, 0.6, 0.9):

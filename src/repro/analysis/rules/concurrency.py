@@ -16,10 +16,9 @@ same way ``DYG1xx`` proves seeded-RNG threading:
   manually through ``.acquire()`` (sorted multi-lock acquisition);
 * ``DYG402`` — lock-ordering cycles: nested ``with`` blocks over
   lock-named objects build a per-module acquisition graph; an edge that
-  closes a cycle is a deadlock shape.  Sorted acquisition (same-name
-  locks acquired in ascending key order via ``.acquire()``) is the
-  sanctioned idiom and invisible to this rule by construction — the
-  runtime sanitizer checks its rank discipline instead;
+  closes a cycle is a deadlock shape.  Acquisition through
+  ``.acquire()`` is invisible to this rule by construction — the runtime
+  sanitizer reports same-name nesting there instead;
 * ``DYG403`` — blocking call while holding a lock: ``queue.get``,
   ``subprocess``, ``time.sleep``, socket/HTTP waits, ``future.result``
   inside a lock-guarded ``with`` body stall every contending thread;

@@ -11,11 +11,8 @@ acquisition stacks and reports two bug classes as they happen:
   B (ever) acquires ``y`` then ``x``.  Detected on a *name-level*
   acquisition graph: every ``outer → inner`` acquisition adds an edge,
   and an edge that closes a cycle is reported at the site that closed
-  it.  The sorted-acquisition idiom — many same-name per-item locks
-  taken in ascending key order — is sanctioned through ``rank``:
-  same-name acquisitions are legal exactly when every nested acquisition
-  carries a strictly increasing rank.  Locks built without a rank may
-  not nest under their own name at all.
+  it.  A lock may not nest under its own name at all: no code path
+  holds two same-name locks at once.
 * **blocking calls under a lock** — instrumented blocking sites
   (:func:`check_blocking` markers at pool results, thread joins,
   load-generator sleeps) report when the calling thread holds *any*
@@ -170,25 +167,15 @@ def _check_order(acquiring: "SanitizedLock", site: str) -> None:
     stack = _held_stack()
     if not stack:
         return
-    same_name = [held for held in stack if held.name == acquiring.name]
-    if same_name:
-        # Same-name nesting is legal only as the sorted-acquisition
-        # idiom: every nested acquisition carries a strictly increasing
-        # rank.
-        ranked = all(held.rank is not None for held in same_name)
-        if not ranked or acquiring.rank is None or any(
-            not held.rank < acquiring.rank for held in same_name  # type: ignore[operator]
-        ):
-            _report(
-                "order_inversion",
-                EVENT_ORDER_INVERSION,
-                f"same-name lock {acquiring.name!r} acquired while already "
-                "held without a strictly increasing rank (sorted "
-                f"acquisitions must pass rank=...) at {site}",
-                dedup=f"{acquiring.name}@{site}",
-                lock=acquiring.name,
-                site=site,
-            )
+    if any(held.name == acquiring.name for held in stack):
+        _report(
+            "order_inversion",
+            EVENT_ORDER_INVERSION,
+            f"same-name lock {acquiring.name!r} acquired while already held at {site}",
+            dedup=f"{acquiring.name}@{site}",
+            lock=acquiring.name,
+            site=site,
+        )
     with _state_lock:
         for held in stack:
             if held.name == acquiring.name:
@@ -244,14 +231,11 @@ class SanitizedLock:
     instance (an ``RLock``) is tracked by depth and never reported.
     """
 
-    __slots__ = ("_inner", "name", "rank", "reentrant")
+    __slots__ = ("_inner", "name", "reentrant")
 
-    def __init__(
-        self, inner: Any, name: str, *, rank: "Any | None" = None, reentrant: bool = False
-    ) -> None:
+    def __init__(self, inner: Any, name: str, *, reentrant: bool = False) -> None:
         self._inner = inner
         self.name = name
-        self.rank = rank
         self.reentrant = reentrant
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
@@ -286,18 +270,15 @@ class SanitizedLock:
         self.release()
 
     def __repr__(self) -> str:
-        return f"SanitizedLock(name={self.name!r}, rank={self.rank!r})"
+        return f"SanitizedLock(name={self.name!r})"
 
 
-def lock(name: str, *, rank: "Any | None" = None) -> Any:
+def lock(name: str) -> Any:
     """A ``threading.Lock``, instrumented when the sanitizer is enabled.
 
     Args:
         name: the detector's node label; every lock guarding the same
             shared structure should share one name.
-        rank: total-order key sanctioning same-name nesting: code that
-            holds several same-name locks at once acquires them in
-            ascending rank order.
 
     Returns:
         A bare ``threading.Lock`` when the sanitizer is off (zero
@@ -305,18 +286,18 @@ def lock(name: str, *, rank: "Any | None" = None) -> Any:
     """
     if not _enabled:
         return threading.Lock()
-    return SanitizedLock(threading.Lock(), name, rank=rank)
+    return SanitizedLock(threading.Lock(), name)
 
 
-def rlock(name: str, *, rank: "Any | None" = None) -> Any:
+def rlock(name: str) -> Any:
     """A ``threading.RLock``, instrumented when the sanitizer is enabled.
 
     Reentrant acquisition of the returned lock is tracked by depth and
-    never reported (see :func:`lock` for the parameters).
+    never reported (see :func:`lock` for ``name``).
     """
     if not _enabled:
         return threading.RLock()
-    return SanitizedLock(threading.RLock(), name, rank=rank, reentrant=True)
+    return SanitizedLock(threading.RLock(), name, reentrant=True)
 
 
 def check_blocking(description: str) -> None:

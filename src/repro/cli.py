@@ -44,9 +44,8 @@ docs/static-analysis.md.
 The spec-driven subcommands (``run``, ``sweep``, ``grid``) additionally
 accept the performance knobs ``--engine {auto,scalar,vectorized}``
 (stacked-trial vectorized simulation) and ``--workers N`` (process
-parallelism on a warm worker pool; ``REPRO_WORKERS`` sets the default)
-— both bit-identical to the scalar serial path; see
-docs/performance.md.
+parallelism on a warm worker pool; 0 and 1 mean serial) — both
+bit-identical to the scalar serial path; see docs/performance.md.
 """
 
 from __future__ import annotations
@@ -380,8 +379,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=0,
-        help="process-parallel worker count; 0 defers to REPRO_WORKERS "
-        "(unset means serial); results are bit-identical to serial",
+        help="process-parallel worker count for all runs of the command "
+        "(0 and 1 mean serial); results are bit-identical to serial",
     )
 
 

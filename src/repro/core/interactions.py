@@ -24,12 +24,7 @@ import numpy as np
 
 from repro.core.gain_functions import GainFunction
 from repro.core.grouping import Group, Grouping
-from repro.core.update import (
-    update_clique,
-    update_clique_naive,
-    update_star,
-    update_star_naive,
-)
+from repro.core.update import update_clique, update_star
 
 __all__ = ["InteractionMode", "Star", "Clique", "get_mode", "MODES"]
 
@@ -118,20 +113,6 @@ class Clique(InteractionMode):
             s = values[i]
             total += sum(gain.directed_gain(v, s) for v in values[:i]) / i
         return total
-
-
-class _NaiveStar(Star):
-    """Reference Star mode using the loop-based updater (testing only)."""
-
-    def update(self, skills: np.ndarray, grouping: Grouping, gain: GainFunction) -> np.ndarray:
-        return update_star_naive(skills, grouping, gain)
-
-
-class _NaiveClique(Clique):
-    """Reference Clique mode using the pairwise updater (testing only)."""
-
-    def update(self, skills: np.ndarray, grouping: Grouping, gain: GainFunction) -> np.ndarray:
-        return update_clique_naive(skills, grouping, gain)
 
 
 #: Registry of the canonical interaction modes by name.

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.experiments.runner import run_spec
+from repro.experiments.runner import _run_specs
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import SWEEPABLE
 
@@ -43,6 +43,9 @@ class GridCell:
 def run_grid(spec: ExperimentSpec, parameters: Mapping[str, Sequence]) -> list[GridCell]:
     """Run ``spec`` at every combination of the given parameter values.
 
+    The whole (cell × run) cross product goes through one executor call,
+    on ``spec.workers`` processes (serial for ``0`` or ``1``).
+
     Args:
         spec: the base configuration.
         parameters: mapping from sweepable field name (a subset of
@@ -60,19 +63,18 @@ def run_grid(spec: ExperimentSpec, parameters: Mapping[str, Sequence]) -> list[G
         raise ValueError("every grid dimension needs at least one value")
 
     names = list(parameters)
-    cells = []
-    for combination in itertools.product(*(parameters[name] for name in names)):
-        overrides = dict(zip(names, combination))
-        outcome = run_spec(spec.with_(**overrides))
-        cells.append(
-            GridCell(
-                parameters=overrides,
-                gains={
-                    name: algo.mean_total_gain for name, algo in outcome.outcomes.items()
-                },
-            )
+    combinations = [
+        dict(zip(names, combination))
+        for combination in itertools.product(*(parameters[name] for name in names))
+    ]
+    results = _run_specs([spec.with_(**overrides) for overrides in combinations], spec.workers)
+    return [
+        GridCell(
+            parameters=overrides,
+            gains={name: algo.mean_total_gain for name, algo in outcome.outcomes.items()},
         )
-    return cells
+        for overrides, (outcome, _) in zip(combinations, results)
+    ]
 
 
 def grid_table(

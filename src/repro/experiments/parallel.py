@@ -1,30 +1,31 @@
-"""Process-parallel executor: warm worker pool, streamed chunks.
+"""The offline executor: every (spec, run) unit, in-process or on a warm pool.
 
 Every run of a spec derives all of its randomness from ``spec.seed + i``
 and nothing else, and the stacked-trial kernels of
 :mod:`repro.core.vectorized` are row-independent — so the full work list
-of a sweep, the cross product of (grid point × run), can be chunked over
-worker processes in any way and merged back into **bit-identical**
-outcomes.  This module owns that fan-out:
+of a run, a sweep or a grid, the cross product of (spec × run), can be
+chunked over worker processes in any way and merged back into
+**bit-identical** outcomes.  This module owns that work list:
 
-* :func:`resolve_workers` — the ``workers`` knob (argument → spec field →
-  ``REPRO_WORKERS`` environment variable → serial);
-* :class:`WorkerPool` — a **persistent warm pool**: the worker processes
-  fork once (at first use, timed into ``parallel.pool.warmup_seconds``)
-  and stay resident across every ``run_spec_parallel`` /
-  ``sweep_outcomes_parallel`` call that borrows the pool, so sweeps after
-  the first pay zero spawn cost.  Usable as a context manager, or
-  implicitly through the process-wide shared pool (:func:`shared_pool`),
-  which every call that is not handed a pool borrows;
-* :func:`run_spec_parallel` / :func:`sweep_outcomes_parallel` — the
-  parallel twins of :func:`repro.experiments.runner.run_spec` and
-  :func:`repro.experiments.sweep.sweep_outcomes`.  Callers normally reach
-  them implicitly through ``workers=N`` on the serial entry points.
+* :func:`execute` — the one executor behind
+  :func:`~repro.experiments.runner.run_spec`,
+  :func:`~repro.experiments.sweep.sweep_outcomes` and
+  :func:`~repro.experiments.grid.run_grid`: serial work runs in-process,
+  anything else is chunked over the shared pool;
+* :func:`resolve_workers` — validates the ``workers`` count the drivers
+  take from their argument, else from ``spec.workers`` (``None``, ``0``
+  and ``1`` all mean serial);
+* :class:`WorkerPool` — the **persistent warm pool**: the worker
+  processes fork once (at first use, timed into
+  ``parallel.pool.warmup_seconds``) and stay resident across calls, so
+  every call after the first pays zero spawn cost.  The process-wide
+  :func:`shared_pool` is the only pool the executor runs on.
 
 Work is **streamed**, not pre-split: the unit list is cut into
 ``workers × STREAM_FACTOR`` contiguous chunks that idle workers pull as
 they finish, so an unlucky slow chunk no longer serializes the whole
-sweep behind one worker.
+sweep behind one worker.  The pool never holds more processes than the
+call has units.
 
 Each worker **draws its own runs' skills**: a chunk carries only specs
 and (spec index, run index) units, and the worker makes the identical
@@ -32,8 +33,8 @@ and (spec index, run index) units, and the worker makes the identical
 makes (run ``i`` seeds ``spec.seed + i``), so no skill array crosses a
 process boundary and the parent draws nothing.
 
-Determinism contract: units are ordered (grid point, run index), split
-into contiguous chunks, executed with the exact same per-run seeds and
+Determinism contract: units are ordered (spec, run index), split into
+contiguous chunks, executed with the exact same per-run seeds and
 initial skills as serial execution, and merged in chunk submission order
 — so every accumulator list the outcome assembly sees is identical to
 the serial one.  Gains are therefore exactly equal; only wall-clock
@@ -51,10 +52,10 @@ metrics snapshot in chunk order — deterministic, unlike live
 cross-process emission — and maintains ``parallel.pool.*`` gauges and
 counters (chunk-queue depth, per-worker chunk counts, warmup seconds).
 
-Concurrency discipline: the pool forks at construction/first-use and
-**never under a lock** — :func:`repro.analysis.sanitizer.check_blocking`
-markers guard the spawn and every blocking wait, and lint rule DYG404
-knows ``WorkerPool(...)`` / ``shared_pool(...)`` are process spawns.
+Concurrency discipline: the pool forks at first use and **never under a
+lock** — :func:`repro.analysis.sanitizer.check_blocking` markers guard
+the spawn and every blocking wait, and lint rule DYG404 knows
+``WorkerPool(...)`` / ``shared_pool(...)`` are process spawns.
 """
 
 from __future__ import annotations
@@ -77,20 +78,15 @@ from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
 
 __all__ = [
-    "WORKERS_ENV",
     "WorkerPool",
     "WorkerPoolError",
+    "execute",
     "resolve_workers",
-    "run_spec_parallel",
     "shared_pool",
     "shutdown_shared_pool",
-    "sweep_outcomes_parallel",
 ]
 
 _log = logging.getLogger("repro.experiments.parallel")
-
-#: Environment variable consulted when no explicit worker count is given.
-WORKERS_ENV = "REPRO_WORKERS"
 
 #: Oversubscription: chunks per worker slot, so idle workers can stream
 #: ahead instead of waiting on one pre-assigned slice.
@@ -98,27 +94,15 @@ STREAM_FACTOR = 4
 
 
 def resolve_workers(workers: "int | None" = None) -> int:
-    """Resolve the effective worker count.
-
-    ``None`` and ``0`` defer to the :data:`WORKERS_ENV` environment
-    variable; an unset (or non-positive) variable means serial (1).
+    """Resolve the effective worker count: ``None``, ``0`` and ``1`` mean serial.
 
     Raises:
-        ValueError: for a negative or non-integer count, or a variable
-            value that is not an integer.
+        ValueError: for a negative or non-integer count.
     """
     if workers is None:
-        workers = 0
+        return 1
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 0:
         raise ValueError(f"workers must be a non-negative int, got {workers!r}")
-    if workers == 0:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     return max(1, workers)
 
 
@@ -221,12 +205,11 @@ class WorkerPool:
 
     Not thread-safe by design: the fork must never happen under a lock
     (lint rule DYG404 enforces this for callers too), so the pool takes
-    none — one driving thread owns a pool.  Calls that are not handed a
-    pool borrow the process-wide :func:`shared_pool`.
+    none — one driving thread owns a pool.  :func:`execute` runs on the
+    process-wide :func:`shared_pool`.
 
     Args:
-        workers: worker-process count (``None``/0 defer to
-            :data:`WORKERS_ENV`).
+        workers: worker-process count (``None`` and ``0`` mean one).
     """
 
     def __init__(self, workers: "int | None" = None) -> None:
@@ -364,19 +347,12 @@ class WorkerPool:
             obs.journal.emit("pool_stop", workers=self.workers, chunks=self._chunks_served)
         _log.info("worker pool closed: workers=%d chunks=%d", self.workers, self._chunks_served)
 
-    def __enter__(self) -> "WorkerPool":
-        self.ensure()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         state = "warm" if self.started else "cold"
         return f"WorkerPool(workers={self.workers}, {state})"
 
 
-#: The process-wide warm pool every call without a pool of its own reuses.
+#: The process-wide warm pool every pooled :func:`execute` call reuses.
 _shared_pool: "WorkerPool | None" = None
 
 
@@ -414,30 +390,30 @@ def shutdown_shared_pool() -> None:
 atexit.register(shutdown_shared_pool)
 
 
-def _parallel_execute(
+def execute(
     specs: Sequence[ExperimentSpec],
     *,
     workers: int,
     keep_results: bool = False,
-    pool: "WorkerPool | None" = None,
 ) -> "list[_runner._RunsData]":
-    """Fan the (spec × run) work list out over warm worker processes.
+    """Run every (spec, run) unit of ``specs``; one accumulator per spec.
 
-    Units are ordered (spec index, run index) and split into contiguous
+    With ``workers <= 1`` or a single unit, each spec's runs execute
+    in-process as one stacked
+    :func:`~repro.experiments.runner._execute_runs` call.  Otherwise the
+    units, ordered (spec index, run index), are split into contiguous
     chunks — :data:`STREAM_FACTOR` per worker slot, at most one per unit
-    — streamed to idle workers, then merged in submission order,
+    — streamed over :func:`shared_pool`, which is asked for no more
+    processes than there are units, and merged in submission order,
     reproducing the serial accumulator lists exactly.
-
-    An explicit ``pool`` is borrowed (and left warm); otherwise the
-    process-wide :func:`shared_pool` is.
     """
-    if pool is None:
-        pool = shared_pool(workers)
-    elif pool.workers != workers:
-        raise ValueError(
-            f"borrowed pool has {pool.workers} workers but {workers} were requested"
-        )
     units = [(si, ri) for si, spec in enumerate(specs) for ri in range(spec.runs)]
+    if workers <= 1 or len(units) <= 1:
+        return [
+            _runner._execute_runs(spec, range(spec.runs), keep_results=keep_results)
+            for spec in specs
+        ]
+    pool = shared_pool(min(workers, len(units)))
     chunk_count = min(len(units), workers * STREAM_FACTOR)
     bounds = np.array_split(np.arange(len(units)), chunk_count)
     chunks = [tuple(units[int(b[0]) : int(b[-1]) + 1]) for b in bounds if b.size]
@@ -446,19 +422,19 @@ def _parallel_execute(
     if journal is not None:
         journal.emit(
             "parallel_start",
-            workers=workers,
+            workers=pool.workers,
             chunks=len(chunks),
             units=len(units),
             utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
     _log.info(
         "parallel execute: specs=%d units=%d workers=%d chunks=%d",
-        len(specs), len(units), workers, len(chunks),
+        len(specs), len(units), pool.workers, len(chunks),
     )
     merged = [_runner._RunsData.empty(spec.algorithms) for spec in specs]
     started = time.perf_counter()
     payloads = [(tuple(specs), chunk, keep_results) for chunk in chunks]
-    with _trace.span("experiments.parallel", workers=workers, chunks=len(chunks)):
+    with _trace.span("experiments.parallel", workers=pool.workers, chunks=len(chunks)):
         for index, (pid, chunk_results, snapshot) in enumerate(
             pool.map_chunks(_run_units_chunk, payloads)
         ):
@@ -477,88 +453,3 @@ def _parallel_execute(
     if obs is not None:
         obs.metrics.counter("experiments.parallel.chunks").inc(len(chunks))
     return merged
-
-
-def run_spec_parallel(
-    spec: ExperimentSpec,
-    *,
-    keep_results: bool = False,
-    workers: "int | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> "_runner.SpecOutcome | tuple":
-    """Parallel :func:`~repro.experiments.runner.run_spec`.
-
-    Chunks the spec's runs over warm worker processes; per-run seeds are
-    unchanged (``spec.seed + i``), so the outcome's gain fields are
-    bit-identical to serial execution.  Timing fields measure the real
-    (concurrent) work and will differ.  An explicit ``pool`` is borrowed
-    and left warm for the next call.
-    """
-    count = resolve_workers(workers if workers is not None else spec.workers)
-    if count <= 1 or spec.runs <= 1:
-        serial = spec.with_(workers=1)
-        return _runner.run_spec(serial, keep_results=keep_results)
-    _log.info(
-        "run_spec_parallel: n=%d runs=%d workers=%d engine=%s",
-        spec.n, spec.runs, count, spec.engine,
-    )
-    _runner._emit_spec_start(spec)
-    data = _parallel_execute([spec], workers=count, keep_results=keep_results, pool=pool)[0]
-    outcomes = _runner._assemble_outcomes(spec, data)
-    _runner._emit_spec_end(outcomes)
-    outcome = _runner.SpecOutcome(spec=spec, outcomes=outcomes)
-    if keep_results:
-        return outcome, data.raw
-    return outcome
-
-
-def sweep_outcomes_parallel(
-    spec: ExperimentSpec,
-    parameter: str,
-    values: Sequence[float],
-    *,
-    workers: "int | None" = None,
-    pool: "WorkerPool | None" = None,
-) -> "list[_runner.SpecOutcome]":
-    """Parallel :func:`~repro.experiments.sweep.sweep_outcomes`.
-
-    Streams the full (grid point × run) cross product over warm worker
-    processes and reassembles per-point outcomes in grid order; gain
-    fields are bit-identical to the serial sweep.  An explicit ``pool``
-    is borrowed and left warm for the next call.
-
-    Raises:
-        ValueError: for an unsweepable parameter or an empty grid.
-    """
-    from repro.experiments.sweep import SWEEPABLE, _cast_value
-
-    if parameter not in SWEEPABLE:
-        raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
-    if not values:
-        raise ValueError("values must be non-empty")
-    count = resolve_workers(workers if workers is not None else spec.workers)
-    point_specs = [spec.with_(**{parameter: _cast_value(parameter, v)}) for v in values]
-    if count <= 1:
-        from repro.experiments.sweep import sweep_outcomes
-
-        return sweep_outcomes(spec.with_(workers=1), parameter, values)
-    _log.info(
-        "sweep_outcomes_parallel: parameter=%s points=%d workers=%d",
-        parameter, len(point_specs), count,
-    )
-    merged = _parallel_execute(point_specs, workers=count, pool=pool)
-    obs = _obs.state()
-    journal = obs.journal if obs is not None else None
-    outcomes: list[_runner.SpecOutcome] = []
-    for point_spec, data in zip(point_specs, merged):
-        if journal is not None:
-            journal.emit(
-                "sweep_point",
-                parameter=parameter,
-                value=getattr(point_spec, parameter),
-            )
-        _runner._emit_spec_start(point_spec)
-        point_outcomes = _runner._assemble_outcomes(point_spec, data)
-        _runner._emit_spec_end(point_outcomes)
-        outcomes.append(_runner.SpecOutcome(spec=point_spec, outcomes=point_outcomes))
-    return outcomes

@@ -16,11 +16,12 @@ still uses ``spec.seed + i``), so outcomes are **bit-identical** across
 engines; only the timing fields are measured differently (a stacked
 round is amortized uniformly over its trials).
 
-Process parallelism: ``run_spec(spec, workers=N)`` (or ``spec.workers`` /
-the ``REPRO_WORKERS`` environment variable) fans the runs out over worker
-processes via :mod:`repro.experiments.parallel`; each worker draws its
-own runs' skills with :func:`draw_skills`, and results are merged in
-deterministic run order and are bit-identical to serial execution.
+Process parallelism: ``run_spec(spec, workers=N)`` (or ``spec.workers``)
+fans the runs out over worker processes through
+:func:`repro.experiments.parallel.execute`, the one executor every spec,
+sweep and grid goes through; each worker draws its own runs' skills with
+:func:`draw_skills`, and results are merged in deterministic run order
+and are bit-identical to serial execution.
 
 Instrumentation: each algorithm run is timed with the
 :class:`repro.obs.metrics.Timer` API (whole-run wall-clock) and the
@@ -151,13 +152,13 @@ def _execute_runs(
 ) -> _RunsData:
     """Execute the given runs of ``spec`` for every algorithm.
 
-    The shared work kernel behind serial :func:`run_spec` and the
-    process-parallel executor: a chunk of run indices in, per-algorithm
-    accumulators out.  Per-run results depend only on ``spec`` and the
-    run index (all randomness, the :func:`draw_skills` draw included,
-    derives from ``spec.seed + i`` and the batched kernels are
-    row-independent), so any chunking of the index set concatenates
-    back to the identical totals.
+    The work kernel of :func:`repro.experiments.parallel.execute`, in
+    the parent for serial work and in the pool workers for chunks: a set
+    of run indices in, per-algorithm accumulators out.  Per-run results
+    depend only on ``spec`` and the run index (all randomness, the
+    :func:`draw_skills` draw included, derives from ``spec.seed + i``
+    and the batched kernels are row-independent), so any chunking of the
+    index set concatenates back to the identical totals.
     """
     indices = list(run_indices)
     data = _RunsData.empty(spec.algorithms)
@@ -203,8 +204,8 @@ def _execute_runs(
 def _assemble_outcomes(spec: ExperimentSpec, data: _RunsData) -> dict[str, AlgorithmOutcome]:
     """Fold per-run accumulators into :class:`AlgorithmOutcome` rows.
 
-    Shared by the serial and parallel executors — both feed run-ordered
-    lists in, so outcome equality reduces to list equality.
+    Serial and pooled execution both feed run-ordered lists in, so
+    outcome equality reduces to list equality.
     """
     return {
         name: AlgorithmOutcome(
@@ -248,6 +249,34 @@ def _emit_spec_end(outcomes: dict[str, AlgorithmOutcome]) -> None:
         )
 
 
+def _run_specs(
+    specs: Sequence[ExperimentSpec],
+    workers: "int | None",
+    *,
+    keep_results: bool = False,
+) -> list[tuple[SpecOutcome, _RunsData]]:
+    """Run ``specs`` through one executor call; outcomes in spec order.
+
+    The single path of :func:`run_spec`, sweeps and grids.  ``workers``
+    is the caller's count for the whole list, resolved once (``None``,
+    ``0`` and ``1`` mean serial); the specs' own ``workers`` fields are
+    not consulted.  Journals ``spec_start`` for every spec before the
+    work and ``spec_end`` for each after it.
+    """
+    from repro.experiments import parallel as _parallel
+
+    count = _parallel.resolve_workers(workers)
+    for spec in specs:
+        _emit_spec_start(spec)
+    merged = _parallel.execute(specs, workers=count, keep_results=keep_results)
+    results = []
+    for spec, data in zip(specs, merged):
+        outcomes = _assemble_outcomes(spec, data)
+        _emit_spec_end(outcomes)
+        results.append((SpecOutcome(spec=spec, outcomes=outcomes), data))
+    return results
+
+
 def run_spec(
     spec: ExperimentSpec,
     *,
@@ -262,34 +291,23 @@ def run_spec(
         keep_results: also return the raw per-run
             :class:`SimulationResult` lists (memory-heavy for large n).
         workers: process-parallel worker count; ``None`` defers to
-            ``spec.workers`` (and the ``REPRO_WORKERS`` environment
-            variable).  Any value ``> 1`` routes through
-            :mod:`repro.experiments.parallel`; outcomes are bit-identical
-            to serial execution.
+            ``spec.workers``.  Any value ``> 1`` chunks the runs over the
+            shared warm pool of :mod:`repro.experiments.parallel`;
+            outcomes are bit-identical to serial execution.
 
     Returns:
         The averaged :class:`SpecOutcome`; with ``keep_results=True``, a
         ``(outcome, results_by_algorithm)`` tuple.
     """
-    from repro.experiments import parallel as _parallel
-
-    resolved_workers = _parallel.resolve_workers(workers if workers is not None else spec.workers)
-    if resolved_workers > 1 and spec.runs > 1:
-        return _parallel.run_spec_parallel(
-            spec, keep_results=keep_results, workers=resolved_workers
-        )
-
     _log.info(
         "run_spec: n=%d k=%d alpha=%d rate=%g mode=%s dist=%s runs=%d engine=%s algorithms=%s",
         spec.n, spec.k, spec.alpha, spec.rate, spec.mode,
         spec.distribution, spec.runs, spec.engine, ",".join(spec.algorithms),
     )
-    _emit_spec_start(spec)
     with _trace.span("experiments.run_spec", n=spec.n, runs=spec.runs):
-        data = _execute_runs(spec, range(spec.runs), keep_results=keep_results)
-    outcomes = _assemble_outcomes(spec, data)
-    _emit_spec_end(outcomes)
-    outcome = SpecOutcome(spec=spec, outcomes=outcomes)
+        [(outcome, data)] = _run_specs(
+            [spec], workers if workers is not None else spec.workers, keep_results=keep_results
+        )
     if keep_results:
         return outcome, data.raw
     return outcome

@@ -59,10 +59,10 @@ class ExperimentSpec:
             ``"scalar"`` forces the per-run loop, ``"vectorized"``
             additionally *requires* every algorithm to vectorize.
             Results are bit-identical across engines.
-        workers: process-parallel worker count for the runner; ``0``
-            defers to the ``REPRO_WORKERS`` environment variable (and
-            runs serial when that is unset), ``1`` forces serial.
-            Results are bit-identical to serial execution.
+        workers: process-parallel worker count, used when the call
+            (``run_spec``, ``sweep_outcomes``, ``run_grid``) passes none;
+            ``0`` and ``1`` mean serial.  Results are bit-identical to
+            serial execution.
     """
 
     n: int = 10_000

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from typing import Sequence
 
-from repro.experiments.runner import SpecOutcome, run_spec
+from repro.experiments.runner import SpecOutcome, _run_specs
 from repro.experiments.spec import ExperimentSpec
 from repro.metrics.series import Series, SeriesSet
 from repro.obs import runtime as _obs
@@ -42,10 +42,10 @@ def sweep_outcomes(
         spec: the base configuration.
         parameter: one of :data:`SWEEPABLE`.
         values: the grid.
-        workers: process-parallel worker count; ``None`` defers to
-            ``spec.workers`` (and ``REPRO_WORKERS``).  Any value ``> 1``
-            chunks the (grid point × run) cross product over worker
-            processes via :mod:`repro.experiments.parallel`; gain fields
+        workers: process-parallel worker count for the whole sweep;
+            ``None`` defers to ``spec.workers``.  Any value ``> 1``
+            chunks the (grid point × run) cross product over the shared
+            warm pool of :mod:`repro.experiments.parallel`; gain fields
             are bit-identical to the serial sweep.
 
     Raises:
@@ -55,23 +55,17 @@ def sweep_outcomes(
         raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     if not values:
         raise ValueError("values must be non-empty")
-    from repro.experiments import parallel as _parallel
-
-    resolved = _parallel.resolve_workers(workers if workers is not None else spec.workers)
-    if resolved > 1:
-        return _parallel.sweep_outcomes_parallel(spec, parameter, values, workers=resolved)
+    point_specs = [spec.with_(**{parameter: _cast_value(parameter, v)}) for v in values]
     obs = _obs.state()
     journal = obs.journal if obs is not None else None
-    outcomes = []
+    for point_spec in point_specs:
+        value = getattr(point_spec, parameter)
+        _log.info("sweep point: %s=%s", parameter, value)
+        if journal is not None:
+            journal.emit("sweep_point", parameter=parameter, value=value)
     with _trace.span("experiments.sweep", parameter=parameter, points=len(values)):
-        for value in values:
-            cast = _cast_value(parameter, value)
-            _log.info("sweep point: %s=%s", parameter, cast)
-            if journal is not None:
-                journal.emit("sweep_point", parameter=parameter, value=cast)
-            with _trace.span("experiments.sweep_point", parameter=parameter, value=cast):
-                outcomes.append(run_spec(spec.with_(**{parameter: cast})))
-    return outcomes
+        results = _run_specs(point_specs, workers if workers is not None else spec.workers)
+    return [outcome for outcome, _ in results]
 
 
 def sweep(

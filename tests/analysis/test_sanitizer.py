@@ -120,31 +120,6 @@ class TestOrderInversion:
 
 
 class TestSortedWaveRank:
-    def test_ascending_ranks_are_sanctioned(self):
-        # Sorted acquisition: same-name per-item locks acquired in key
-        # order, each constructed with its key as the rank.
-        with sanitizer.sanitize_scope():
-            locks = [
-                sanitizer.lock("serve.session", rank=f"c{i:06d}") for i in range(1, 5)
-            ]
-            for entry in locks:
-                entry.acquire()
-            for entry in reversed(locks):
-                entry.release()
-        assert sanitizer.reports() == ()
-
-    def test_descending_ranks_are_reported(self):
-        with sanitizer.sanitize_scope():
-            first = sanitizer.lock("serve.session", rank="c000002")
-            second = sanitizer.lock("serve.session", rank="c000001")
-            first.acquire()
-            second.acquire()
-            second.release()
-            first.release()
-        reports = sanitizer.reports()
-        assert len(reports) == 1
-        assert "strictly increasing rank" in reports[0]["message"]
-
     def test_unranked_same_name_nesting_is_reported(self):
         with sanitizer.sanitize_scope():
             first = sanitizer.lock("pool")

@@ -1,10 +1,12 @@
-"""Tests for the process-parallel executor (:mod:`repro.experiments.parallel`).
+"""Tests for the offline executor (:mod:`repro.experiments.parallel`).
 
 The contract under test is determinism: chunking the (grid point × run)
 work list over worker processes must leave every gain field of every
 outcome *exactly* equal to serial execution — same per-run seeds, same
 accumulator order, same float reductions.  Timing fields measure real
 concurrent work and are deliberately excluded from the comparisons.
+Every driver (``run_spec``, ``sweep_outcomes``, ``run_grid``) reaches the
+pool through one :func:`~repro.experiments.parallel.execute` call.
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ import time
 
 import pytest
 
+from repro.experiments import parallel as _parallel
 from repro.experiments import runner
+from repro.experiments.grid import run_grid
 from repro.experiments.parallel import (
-    WORKERS_ENV,
-    WorkerPool,
     WorkerPoolError,
+    execute,
     resolve_workers,
-    run_spec_parallel,
     shared_pool,
     shutdown_shared_pool,
-    sweep_outcomes_parallel,
 )
 from repro.obs import runtime
 from repro.obs.journal import read_journal
@@ -55,27 +56,23 @@ def assert_gains_equal(a, b):
         assert left.mean_round_gains == right.mean_round_gains
 
 
+def _no_pool(workers):
+    """Stands in for ``shared_pool`` where a call must stay serial."""
+    raise AssertionError(f"a pool of {workers} workers was requested")
+
+
+class _PoolRequested(Exception):
+    """Stops a call at its pool request, before any process starts."""
+
+
 class TestResolveWorkers:
-    def test_none_and_zero_default_to_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_none_and_zero_default_to_serial(self):
         assert resolve_workers() == 1
         assert resolve_workers(None) == 1
         assert resolve_workers(0) == 1
 
-    def test_explicit_count_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "8")
+    def test_explicit_count_wins(self):
         assert resolve_workers(3) == 3
-
-    def test_env_fills_in_when_unspecified(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "6")
-        assert resolve_workers() == 6
-        assert resolve_workers(0) == 6
-
-    def test_non_positive_env_means_serial(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        assert resolve_workers() == 1
-        monkeypatch.setenv(WORKERS_ENV, "-3")
-        assert resolve_workers() == 1
 
     def test_rejects_negative_and_non_int(self):
         with pytest.raises(ValueError, match="non-negative int"):
@@ -84,11 +81,6 @@ class TestResolveWorkers:
             resolve_workers(2.5)
         with pytest.raises(ValueError, match="non-negative int"):
             resolve_workers(True)
-
-    def test_rejects_non_integer_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "lots")
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            resolve_workers()
 
 
 class TestSpecKnobs:
@@ -117,12 +109,6 @@ class TestRunSpecParallel:
         parallel = run_spec(spec.with_(workers=2))
         assert_gains_equal(serial, parallel)
 
-    def test_env_variable_routes(self, spec, monkeypatch):
-        serial = run_spec(spec)
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        parallel = run_spec(spec)
-        assert_gains_equal(serial, parallel)
-
     def test_more_workers_than_runs(self, spec):
         serial = run_spec(spec)
         parallel = run_spec(spec, workers=16)
@@ -142,9 +128,11 @@ class TestRunSpecParallel:
             for left, right in zip(raw_serial[name], raw_parallel[name]):
                 assert left.round_gains.tolist() == right.round_gains.tolist()
 
-    def test_single_run_falls_back_to_serial(self, spec):
+    def test_single_run_falls_back_to_serial(self, spec, monkeypatch):
         one = spec.with_(runs=1)
-        assert_gains_equal(run_spec(one), run_spec_parallel(one, workers=2))
+        serial = run_spec(one)
+        monkeypatch.setattr(_parallel, "shared_pool", _no_pool)
+        assert_gains_equal(serial, run_spec(one, workers=2))
 
     def test_parent_process_draws_no_skills(self, spec, monkeypatch):
         serial = run_spec(spec)
@@ -158,9 +146,9 @@ class TestRunSpecParallel:
             return original(spec, run_index)
 
         monkeypatch.setattr(runner, "draw_skills", counting_draw)
-        parallel = run_spec_parallel(spec, workers=2)
+        pooled = run_spec(spec, workers=2)
         assert draws == []
-        assert_gains_equal(serial, parallel)
+        assert_gains_equal(serial, pooled)
 
 
 class TestSweepParallel:
@@ -174,15 +162,44 @@ class TestSweepParallel:
 
     def test_parallel_sweep_direct_entry_point(self, spec):
         serial = sweep_outcomes(spec, "alpha", [1, 3])
-        parallel = sweep_outcomes_parallel(spec, "alpha", [1, 3], workers=3)
-        for left, right in zip(serial, parallel):
-            assert_gains_equal(left, right)
+        point_specs = [spec.with_(alpha=1), spec.with_(alpha=3)]
+        merged = execute(point_specs, workers=3)
+        for point_spec, data, outcome in zip(point_specs, merged, serial):
+            pooled = runner.SpecOutcome(point_spec, runner._assemble_outcomes(point_spec, data))
+            assert_gains_equal(outcome, pooled)
 
     def test_parallel_sweep_validates_like_serial(self, spec):
         with pytest.raises(ValueError, match="parameter"):
-            sweep_outcomes_parallel(spec, "runs", [1, 2], workers=2)
+            sweep_outcomes(spec, "runs", [1, 2], workers=2)
         with pytest.raises(ValueError, match="non-empty"):
-            sweep_outcomes_parallel(spec, "k", [], workers=2)
+            sweep_outcomes(spec, "k", [], workers=2)
+
+    def test_workers_argument_overrides_point_spec_field(self, spec, monkeypatch):
+        # The sweep resolves workers once: the argument, not the field
+        # each point spec inherits from the base spec.
+        serial = sweep_outcomes(spec, "k", [2, 4])
+        monkeypatch.setattr(_parallel, "shared_pool", _no_pool)
+        forced = sweep_outcomes(spec.with_(workers=2), "k", [2, 4], workers=1)
+        for left, right in zip(serial, forced):
+            assert_gains_equal(left, right)
+
+
+class TestGridParallel:
+    def test_grid_is_one_executor_call(self, spec, monkeypatch):
+        cells = {"k": [2, 4], "alpha": [1, 2]}
+        serial = run_grid(spec, cells)
+        calls = []
+        original = _parallel.execute
+
+        def counting_execute(specs, **kwargs):
+            calls.append((len(specs), kwargs["workers"]))
+            return original(specs, **kwargs)
+
+        monkeypatch.setattr(_parallel, "execute", counting_execute)
+        pooled = run_grid(spec.with_(workers=2), cells)
+        assert calls == [(4, 2)]
+        assert [cell.parameters for cell in pooled] == [cell.parameters for cell in serial]
+        assert [cell.gains for cell in pooled] == [cell.gains for cell in serial]
 
 
 def _crash_chunk(payload):
@@ -193,59 +210,89 @@ def _crash_chunk(payload):
 
 
 class TestWorkerPool:
+    @pytest.fixture(autouse=True)
+    def fresh_shared_pool(self):
+        shutdown_shared_pool()
+        yield
+        shutdown_shared_pool()
+
     def test_pool_is_reused_across_calls(self, spec):
         serial = run_spec(spec)
-        with WorkerPool(2) as pool:
-            first = run_spec_parallel(spec, workers=2, pool=pool)
-            executor = pool.ensure()
-            second = run_spec_parallel(spec, workers=2, pool=pool)
-            assert pool.ensure() is executor, "a borrowed pool must stay warm"
-            assert pool.chunks_served > 0
+        first = run_spec(spec, workers=2)
+        pool = shared_pool(2)
+        executor = pool.ensure()
+        served = pool.chunks_served
+        second = run_spec(spec, workers=2)
+        assert shared_pool(2) is pool
+        assert pool.ensure() is executor, "the shared pool must stay warm"
+        assert pool.chunks_served > served > 0
         assert_gains_equal(serial, first)
         assert_gains_equal(serial, second)
-        assert not pool.started, "context exit must close the workers"
+        shutdown_shared_pool()
+        assert not pool.started, "shutdown must close the workers"
 
     def test_pool_serves_sweeps_and_specs_alike(self, spec):
-        with WorkerPool(2) as pool:
-            parallel = sweep_outcomes_parallel(spec, "k", [2, 4], workers=2, pool=pool)
+        swept = sweep_outcomes(spec, "k", [2, 4], workers=2)
+        pool = shared_pool(2)
+        executor = pool.ensure()
+        single = run_spec(spec, workers=2)
+        assert pool.ensure() is executor
         serial = sweep_outcomes(spec, "k", [2, 4])
-        for left, right in zip(serial, parallel):
+        for left, right in zip(serial, swept):
             assert_gains_equal(left, right)
+        assert_gains_equal(run_spec(spec), single)
+
+    def test_pool_size_is_bounded_by_units(self, spec, monkeypatch):
+        asked = []
+
+        def recording_pool(workers):
+            asked.append(workers)
+            raise _PoolRequested
+
+        monkeypatch.setattr(_parallel, "shared_pool", recording_pool)
+        with pytest.raises(_PoolRequested):
+            run_spec(spec, workers=100_000)
+        with pytest.raises(_PoolRequested):
+            sweep_outcomes(spec, "k", [2, 4], workers=100_000)
+        with pytest.raises(_PoolRequested):
+            run_spec(spec, workers=3)
+        assert asked == [spec.runs, 2 * spec.runs, 3]
 
     def test_worker_crash_raises_and_pool_respawns(self, spec):
-        with WorkerPool(2) as pool:
-            with pytest.raises(WorkerPoolError, match="worker process died"):
-                list(pool.map_chunks(_crash_chunk, [None, None]))
-            assert not pool.started, "a broken pool must be abandoned"
-            # The next use forks a fresh pool and serves correct results.
-            reborn = run_spec_parallel(spec, workers=2, pool=pool)
+        pool = shared_pool(2)
+        with pytest.raises(WorkerPoolError, match="worker process died"):
+            list(pool.map_chunks(_crash_chunk, [None, None]))
+        assert not pool.started, "a broken pool must be abandoned"
+        # The next use forks a fresh pool and serves correct results.
+        reborn = run_spec(spec, workers=2)
+        assert shared_pool(2) is not pool
         assert_gains_equal(run_spec(spec), reborn)
 
     def test_idle_worker_death_raises_once_and_pool_respawns(self, spec):
         serial = run_spec(spec)
         depth = runtime.metrics_registry().gauge("parallel.pool.queue_depth")
-        with WorkerPool(2) as pool:
-            executor = pool.ensure()
-            os.kill(executor.submit(os.getpid).result(), signal.SIGKILL)
-            # The stdlib executor marks itself broken once its manager
-            # thread reaps the dead worker.
-            deadline = time.monotonic() + 5.0
-            while not executor._broken and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert executor._broken, "the executor never saw the worker die"
-            before = depth.value
-            with pytest.raises(WorkerPoolError, match="worker process died"):
-                run_spec_parallel(spec, workers=2, pool=pool)
-            assert not pool.started, "a broken pool must be abandoned"
-            assert depth.value == before
-            reborn = run_spec_parallel(spec, workers=2, pool=pool)
+        pool = shared_pool(2)
+        executor = pool.ensure()
+        os.kill(executor.submit(os.getpid).result(), signal.SIGKILL)
+        # The stdlib executor marks itself broken once its manager
+        # thread reaps the dead worker.
+        deadline = time.monotonic() + 5.0
+        while not executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert executor._broken, "the executor never saw the worker die"
+        before = depth.value
+        with pytest.raises(WorkerPoolError, match="worker process died"):
+            run_spec(spec, workers=2)
+        assert not pool.started, "a broken pool must be abandoned"
+        assert depth.value == before
+        reborn = run_spec(spec, workers=2)
         assert_gains_equal(serial, reborn)
 
     def test_warmup_timer_and_journal_lifecycle(self, spec, tmp_path):
         path = tmp_path / "pool.jsonl"
         with runtime.observed(journal=path):
-            with WorkerPool(2) as pool:
-                run_spec_parallel(spec, workers=2, pool=pool)
+            run_spec(spec, workers=2)
+            shutdown_shared_pool()
             registry = runtime.metrics_registry()
             snapshot = registry.snapshot()
         timers = {**snapshot.get("timers", {}), **snapshot.get("histograms", {})}
@@ -257,12 +304,9 @@ class TestWorkerPool:
         assert "pool_stop" in events
 
     def test_queue_depth_gauge_returns_to_zero(self, spec):
-        with WorkerPool(2) as pool:
-            run_spec_parallel(spec, workers=2, pool=pool)
-            from repro.obs import runtime as _rt
-
-            gauge = _rt.metrics_registry().gauge("parallel.pool.queue_depth")
-            assert gauge.value == 0
+        run_spec(spec, workers=2)
+        gauge = runtime.metrics_registry().gauge("parallel.pool.queue_depth")
+        assert gauge.value == 0
 
     def test_shared_pool_is_process_wide_and_resizes(self):
         try:

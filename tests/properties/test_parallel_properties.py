@@ -5,7 +5,7 @@ pool changes nothing about any gain field.  Per-run seeds are
 ``spec.seed + i`` either way, so serial and warm-pool execution must
 agree exactly.
 
-One module-scoped pool serves every example: that is precisely the
+One warm shared pool serves every example: that is precisely the
 reuse pattern the pool exists for, and it keeps the property affordable
 (forking per example would dominate the run).
 """
@@ -16,15 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.parallel import WorkerPool, run_spec_parallel
+from repro.experiments.parallel import shared_pool, shutdown_shared_pool
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
 
 
 @pytest.fixture(scope="module")
 def warm_pool():
-    with WorkerPool(2) as pool:
-        yield pool
+    pool = shared_pool(2)
+    pool.ensure()
+    yield pool
+    shutdown_shared_pool()
 
 
 @st.composite
@@ -52,5 +54,6 @@ def gains_of(outcome):
 @settings(max_examples=8, deadline=None)
 def test_warm_pool_equals_serial(warm_pool, spec):
     serial = run_spec(spec)
-    pooled = run_spec_parallel(spec, workers=2, pool=warm_pool)
+    pooled = run_spec(spec, workers=2)
+    assert shared_pool(2) is warm_pool
     assert gains_of(pooled) == gains_of(serial)

@@ -478,7 +478,8 @@ class TestTransport:
         code = (
             "import sys\n"
             "import repro.cli, repro.serve.http, repro.matchmaking.matchmaker\n"
-            "banned = ('http.server', 'http.client', 'ssl', 'urllib.request', 'email.parser')\n"
+            "banned = ('http.server', 'http.client', 'ssl', 'urllib.request', 'email.parser',\n"
+            "          'multiprocessing', 'repro.experiments.parallel')\n"
             "print(sorted(name for name in banned if name in sys.modules))\n"
         )
         output = subprocess.run(
