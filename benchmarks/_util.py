@@ -8,8 +8,9 @@ numbers behind EXPERIMENTS.md are reproducible artifacts.  Each
 * ``<name>.txt`` — the human-readable series (unchanged format);
 * ``BENCH_<name>.json`` — a machine-readable perf artifact: bench
   config, the metrics-registry snapshot accumulated during the bench
-  (per-round timings, round/interaction counters), and totals — so the
-  perf trajectory across PRs can be charted from these files.
+  (per-round timing summaries with their bounded bucket counts,
+  round/interaction counters), and totals — so the perf trajectory
+  across PRs can be charted from these files.
 
 Artifacts are **append-archived**, never silently replaced: each emit
 folds the previous ``BENCH_<name>.json`` payload (minus its own history)

@@ -892,6 +892,10 @@ def _run(args: argparse.Namespace) -> int:
             print(span_table(state.tracer.spans))
         return code
     finally:
+        # Journal pool_stop before the journal closes; import nothing for it.
+        parallel = sys.modules.get("repro.experiments.parallel")
+        if parallel is not None:
+            parallel.shutdown_shared_pool()
         obs_runtime.shutdown()
 
 

@@ -24,8 +24,8 @@ chunked over worker processes in any way and merged back into
 Work is **streamed**, not pre-split: the unit list is cut into
 ``workers × STREAM_FACTOR`` contiguous chunks that idle workers pull as
 they finish, so an unlucky slow chunk no longer serializes the whole
-sweep behind one worker.  The pool never holds more processes than the
-call has units.
+sweep behind one worker.  A call reuses a warm pool of ``min(workers,
+units)`` to ``workers`` processes, or else builds one of ``min(workers, units)``.
 
 Each worker **draws its own runs' skills**: a chunk carries only specs
 and (spec index, run index) units, and the worker makes the identical
@@ -48,9 +48,9 @@ worker registry again so its snapshot covers exactly that chunk even on a
 long-lived warm pool.  The parent journals ``pool_start`` /
 ``pool_stop`` (pool lifecycle) and ``parallel_start`` /
 ``parallel_chunk`` / ``parallel_end`` events, merges every worker's
-metrics snapshot in chunk order — deterministic, unlike live
-cross-process emission — and maintains ``parallel.pool.*`` gauges and
-counters (chunk-queue depth, per-worker chunk counts, warmup seconds).
+metrics snapshot with :meth:`~repro.obs.metrics.MetricsRegistry.merge`,
+and maintains ``parallel.pool.*`` gauges and counters (chunk-queue
+depth, per-worker chunk counts, warmup seconds).
 
 Concurrency discipline: the pool forks at first use and **never under a
 lock** — :func:`repro.analysis.sanitizer.check_blocking` markers guard
@@ -162,34 +162,6 @@ def _run_units_chunk(
         )
         start = stop
     return os.getpid(), results, _obs.metrics_registry().snapshot()
-
-
-def _merge_metrics_snapshot(snapshot: dict) -> None:
-    """Fold one worker chunk's metrics snapshot into the parent registry.
-
-    Called in chunk order (never concurrently), so merged counts and
-    retained timer series are deterministic given the chunking.
-    """
-    obs = _obs.state()
-    if obs is None:
-        return
-    registry = obs.metrics
-    for name, payload in snapshot.get("counters", {}).items():
-        registry.counter(name).inc(payload["value"])
-    for name, payload in snapshot.get("gauges", {}).items():
-        # A gauge is a point-in-time level, not a cumulative count:
-        # merging worker snapshots keeps the highest level any worker
-        # reached (the parent's own gauge value participates too).
-        gauge = registry.gauge(name)
-        gauge.set(max(gauge.value, payload["value"]))
-    for name, payload in snapshot.get("timers", {}).items():
-        timer = registry.timer(name)
-        for value in payload["values"]:
-            timer.observe(value)
-    for name, payload in snapshot.get("histograms", {}).items():
-        histogram = registry.histogram(name)
-        for value in payload["values"]:
-            histogram.observe(value)
 
 
 class WorkerPool:
@@ -403,9 +375,9 @@ def execute(
     :func:`~repro.experiments.runner._execute_runs` call.  Otherwise the
     units, ordered (spec index, run index), are split into contiguous
     chunks — :data:`STREAM_FACTOR` per worker slot, at most one per unit
-    — streamed over :func:`shared_pool`, which is asked for no more
-    processes than there are units, and merged in submission order,
-    reproducing the serial accumulator lists exactly.
+    — streamed over a warm pool of ``min(workers, units)`` to ``workers``
+    processes, else over a new ``shared_pool(min(workers, units))``, and
+    merged in submission order, reproducing the serial lists exactly.
     """
     units = [(si, ri) for si, spec in enumerate(specs) for ri in range(spec.runs)]
     if workers <= 1 or len(units) <= 1:
@@ -413,7 +385,9 @@ def execute(
             _runner._execute_runs(spec, range(spec.runs), keep_results=keep_results)
             for spec in specs
         ]
-    pool = shared_pool(min(workers, len(units)))
+    pool = _shared_pool
+    if pool is None or not min(workers, len(units)) <= pool.workers <= workers:
+        pool = shared_pool(min(workers, len(units)))
     chunk_count = min(len(units), workers * STREAM_FACTOR)
     bounds = np.array_split(np.arange(len(units)), chunk_count)
     chunks = [tuple(units[int(b[0]) : int(b[-1]) + 1]) for b in bounds if b.size]
@@ -440,7 +414,8 @@ def execute(
         ):
             for spec_index, data in chunk_results:
                 merged[spec_index].extend(data)
-            _merge_metrics_snapshot(snapshot)
+            if obs is not None:
+                obs.metrics.merge(snapshot)
             pool.account_chunk(pid)
             if journal is not None:
                 journal.emit("parallel_chunk", index=index, units=len(chunks[index]))

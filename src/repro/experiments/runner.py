@@ -23,9 +23,9 @@ sweep and grid goes through; each worker draws its own runs' skills with
 :func:`draw_skills`, and results are merged in deterministic run order
 and are bit-identical to serial execution.
 
-Instrumentation: each algorithm run is timed with the
-:class:`repro.obs.metrics.Timer` API (whole-run wall-clock) and the
-engine's per-round timings (``record_timings=True``) feed
+Instrumentation: each algorithm's runs are timed on the
+``time.perf_counter`` clock (whole-run wall-clock) and the engine's
+per-round timings (``record_timings=True``) feed
 :attr:`AlgorithmOutcome.mean_round_seconds`; when observability is
 configured (:mod:`repro.obs.runtime`), the runner additionally emits
 ``spec_start``/``spec_end`` journal events and wraps the work in spans.
@@ -34,6 +34,7 @@ configured (:mod:`repro.obs.runtime`), the runner additionally emits
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,7 +46,6 @@ from repro.data.distributions import get_distribution
 from repro.experiments.spec import ExperimentSpec
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
-from repro.obs.metrics import Timer
 from repro.registry import PolicySpec, build_policy
 
 __all__ = ["AlgorithmOutcome", "SpecOutcome", "run_spec", "draw_skills"]
@@ -169,23 +169,23 @@ def _execute_runs(
     seeds = [spec.seed + i for i in indices]
     for name in spec.algorithms:
         policy = _policy_for(spec, name)
-        timer = Timer(f"run.{name}")
         with _trace.span(f"experiments.run_many:{name}", runs=len(indices)):
-            with timer.time():
-                batch = simulate_many(
-                    policy,
-                    skills,
-                    k=spec.k,
-                    alpha=spec.alpha,
-                    mode=spec.mode,
-                    rate=spec.rate,
-                    seeds=seeds,
-                    engine=spec.engine,
-                    record_timings=True,
-                )
+            started = time.perf_counter()
+            batch = simulate_many(
+                policy,
+                skills,
+                k=spec.k,
+                alpha=spec.alpha,
+                mode=spec.mode,
+                rate=spec.rate,
+                seeds=seeds,
+                engine=spec.engine,
+                record_timings=True,
+            )
+            elapsed = time.perf_counter() - started
         _log.debug(
             "runs %s %s [%s]: mean_total_gain=%.6g in %.4fs",
-            indices, name, batch.engine, float(batch.total_gains.mean()), timer.values[-1],
+            indices, name, batch.engine, float(batch.total_gains.mean()), elapsed,
         )
         totals = batch.total_gains
         for row in range(len(indices)):
@@ -195,7 +195,7 @@ def _execute_runs(
             data.round_times[name].append(batch.round_seconds[row].copy())
             if keep_results:
                 data.raw[name].append(batch.result(row))
-        data.runtime_totals[name] = float(timer.total)
+        data.runtime_totals[name] = elapsed
         if obs is not None:
             obs.metrics.counter("experiments.simulations").inc(len(indices))
     return data

@@ -48,7 +48,6 @@ from repro.analysis import sanitizer as _sanitize
 from repro.matchmaking.queue import JoinQueue, Participant
 from repro.matchmaking.spec import DEFAULT_SPEC_NAME, GroupSpec
 from repro.obs import runtime as _obs
-from repro.serve.config import REQUEST_HISTOGRAM_KEEP
 from repro.serve.errors import CapacityExhausted, InvalidRequest, ServiceClosed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service builds us)
@@ -123,9 +122,7 @@ class Matchmaker:
         self._cohorts = registry.counter("matchmaking.cohorts")
         self._depth_gauge = registry.gauge("matchmaking.queue_depth")
         self._waiting_oldest = registry.gauge("matchmaking.oldest_wait_seconds")
-        self._time_to_match = registry.histogram(
-            "matchmaking.time_to_match_seconds", keep=REQUEST_HISTOGRAM_KEEP
-        )
+        self._time_to_match = registry.histogram("matchmaking.time_to_match_seconds")
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
         if tick_interval is not None:

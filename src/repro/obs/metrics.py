@@ -2,9 +2,8 @@
 
 The registry is deliberately tiny — four instrument kinds, get-or-create
 by name, and a :meth:`MetricsRegistry.snapshot` that returns plain
-JSON-able dicts (the payload behind the ``BENCH_<name>.json`` artifacts).
-Timers retain their raw observations so per-round timing *series* survive
-into the snapshot, not just aggregates.
+JSON-able dicts (the payload behind the ``BENCH_<name>.json`` artifacts)
+and that :meth:`MetricsRegistry.merge` adds into another registry.
 
 Snapshots also render to the Prometheus text exposition format via
 :func:`render_prometheus` (served by ``GET /metrics?format=prometheus``):
@@ -18,10 +17,10 @@ import math
 import re
 import threading
 import time
-from collections import deque
 from typing import Any, Iterator, Mapping
 
 __all__ = [
+    "BUCKETS_PER_OCTAVE",
     "Counter",
     "Gauge",
     "Histogram",
@@ -98,42 +97,66 @@ class Gauge:
         return f"Gauge({self.name!r}, value={self.value}, max={self._max})"
 
 
-class Histogram:
-    """A series of observations with retained raw values and summary stats.
+#: Linear sub-buckets per power of two, each at most ``1 + 1/BUCKETS_PER_OCTAVE`` wide.
+BUCKETS_PER_OCTAVE = 32
 
-    By default every raw observation is retained (so per-round timing
-    *series* survive into bench snapshots).  Long-running consumers — the
-    serving layer records one observation per request — pass ``keep=N``
-    to bound retention to the ``N`` most recent values; ``count``,
-    ``total``, ``min`` and ``max`` then keep tracking the full stream
-    while percentiles describe the retained window.
+#: The bucket of 0.0: below every subnormal's, with an upper edge that underflows to 0.0.
+_ZERO_BUCKET = BUCKETS_PER_OCTAVE * -1100
+
+
+class Histogram:
+    """Non-negative observations counted in fixed log-linear buckets.
+
+    With ``m, e = math.frexp(value)`` a value lands in bucket
+    ``BUCKETS_PER_OCTAVE * e + int((2*m - 1) * BUCKETS_PER_OCTAVE)``, and
+    0.0 in a bucket of its own, so memory grows with the range of the
+    values, never their number.  ``count``, ``min`` and ``max`` are exact
+    and ``total`` is a running sum.
     """
 
-    __slots__ = ("name", "values", "keep", "_count", "_total", "_min", "_max")
+    __slots__ = ("name", "_lock", "_buckets", "_count", "_total", "_min", "_max")
 
     _kind = "histogram"
 
-    def __init__(self, name: str = "", *, keep: int | None = None) -> None:
-        if keep is not None and keep <= 0:
-            raise ValueError(f"keep must be a positive int or None, got {keep!r}")
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.keep = keep
-        self.values: "list[float] | deque[float]" = [] if keep is None else deque(maxlen=keep)
+        self._lock = threading.Lock()  # serve threads share one timer
+        self._buckets: dict[int, int] = {}
         self._count = 0
         self._total = 0.0
         self._min = math.inf
         self._max = -math.inf
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation; raises ``ValueError`` if it is negative or not finite."""
         value = float(value)
-        self.values.append(value)
-        self._count += 1
-        self._total += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
+        if 0.0 < value < math.inf:
+            m, e = math.frexp(value)
+            index = BUCKETS_PER_OCTAVE * e + int((2.0 * m - 1.0) * BUCKETS_PER_OCTAVE)
+        elif value == 0.0:  # noqa: DYG302 — exact zero guard
+            value, index = 0.0, _ZERO_BUCKET
+        else:
+            raise ValueError(f"{self.name!r} observes finite non-negative values, got {value!r}")
+        with self._lock:
+            self._buckets[index] = self._buckets.get(index, 0) + 1
+            self._count += 1
+            self._total += value
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
+
+    def _merge(self, payload: Mapping[str, Any]) -> None:
+        """Add the counts of a :meth:`snapshot` payload to this histogram."""
+        if not payload["count"]:
+            return
+        with self._lock:
+            for index, hits in payload["buckets"]:
+                self._buckets[index] = self._buckets.get(index, 0) + hits
+            self._count += payload["count"]
+            self._total += payload["total"]
+            self._min = min(self._min, payload["min"])
+            self._max = max(self._max, payload["max"])
 
     @property
     def count(self) -> int:
@@ -141,9 +164,7 @@ class Histogram:
 
     @property
     def total(self) -> float:
-        # The unbounded path recomputes with fsum so snapshots stay exact;
-        # the bounded path has dropped values and uses the running sum.
-        return math.fsum(self.values) if self.keep is None else self._total
+        return self._total
 
     @property
     def mean(self) -> float:
@@ -159,22 +180,37 @@ class Histogram:
         return self._max if self._count else 0.0
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile (``p`` in [0, 100]; 0.0 when empty).
+        """Nearest-rank percentile over the whole stream (0.0 when empty).
+
+        Reports the upper edge of the bucket holding the nearest-rank value
+        ``q``, clamped to ``max``: never below ``q``, at most ``q * (1 +
+        1/BUCKETS_PER_OCTAVE)``.
 
         Raises:
             ValueError: when ``p`` is outside [0, 100].
         """
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self.values:
+        with self._lock:
+            buckets, count = sorted(self._buckets.items()), self._count
+        if not buckets:
             return 0.0
-        ordered = sorted(self.values)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        rank = max(1, math.ceil(p / 100.0 * count))
+        seen = 0
+        for index, hits in buckets:
+            seen += hits
+            if seen >= rank:
+                break
+        if index == buckets[-1][0]:  # its upper edge lies above max, or past any float
+            return self.max
+        exponent, sub = divmod(index, BUCKETS_PER_OCTAVE)
+        return math.ldexp(1.0 + (sub + 1) / BUCKETS_PER_OCTAVE, exponent - 1)
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-able summary plus the (retained) raw observation series."""
-        payload = {
+        """JSON-able summary plus the sorted, sparse ``[index, count]`` bucket list."""
+        with self._lock:
+            buckets = [[index, hits] for index, hits in sorted(self._buckets.items())]
+        return {
             "type": self._kind,
             "count": self.count,
             "total": self.total,
@@ -184,11 +220,8 @@ class Histogram:
             "p50": self.percentile(50),
             "p95": self.percentile(95),
             "p99": self.percentile(99),
-            "values": [round(v, 9) for v in self.values],
+            "buckets": buckets,
         }
-        if self.keep is not None:
-            payload["retained"] = len(self.values)
-        return payload
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, count={self.count}, mean={self.mean:.6g})"
@@ -237,11 +270,11 @@ class MetricsRegistry:
         # increments sanitizer.* counters through this registry.
         self._lock = threading.Lock()
 
-    def _get(self, name: str, kind: type, **kwargs: Any) -> Any:
+    def _get(self, name: str, kind: type) -> Any:
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = kind(name, **kwargs)
+                instrument = kind(name)
                 self._instruments[name] = instrument
             elif type(instrument) is not kind:
                 raise ValueError(
@@ -257,13 +290,13 @@ class MetricsRegistry:
         """Get or create the named gauge."""
         return self._get(name, Gauge)
 
-    def timer(self, name: str, *, keep: int | None = None) -> Timer:
-        """Get or create the named timer (``keep`` bounds raw retention)."""
-        return self._get(name, Timer, keep=keep)
+    def timer(self, name: str) -> Timer:
+        """Get or create the named timer."""
+        return self._get(name, Timer)
 
-    def histogram(self, name: str, *, keep: int | None = None) -> Histogram:
-        """Get or create the named histogram (``keep`` bounds raw retention)."""
-        return self._get(name, Histogram, keep=keep)
+    def histogram(self, name: str) -> Histogram:
+        """Get or create the named histogram."""
+        return self._get(name, Histogram)
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """Export every instrument, grouped by kind and sorted by name."""
@@ -276,16 +309,24 @@ class MetricsRegistry:
         with self._lock:
             instruments = dict(self._instruments)
         for name in sorted(instruments):
-            instrument = instruments[name]
-            if isinstance(instrument, Counter):
-                groups["counters"][name] = instrument.snapshot()
-            elif isinstance(instrument, Gauge):
-                groups["gauges"][name] = instrument.snapshot()
-            elif isinstance(instrument, Timer):
-                groups["timers"][name] = instrument.snapshot()
-            else:
-                groups["histograms"][name] = instrument.snapshot()
+            payload = instruments[name].snapshot()
+            groups[f"{payload['type']}s"][name] = payload
         return groups
+
+    def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
+        """Fold another registry's :meth:`snapshot` into this one.
+
+        Counters add, a gauge keeps the higher level, timers and histograms
+        add their counts, totals and buckets; other keys are ignored.
+        """
+        for name, payload in snapshot.get("counters", {}).items():
+            self.counter(name).inc(payload["value"])
+        for name, payload in snapshot.get("gauges", {}).items():
+            gauge = self.gauge(name)
+            gauge.set(max(gauge.value, payload["value"]))
+        for group, get in (("timers", self.timer), ("histograms", self.histogram)):
+            for name, payload in snapshot.get(group, {}).items():
+                get(name)._merge(payload)
 
     def reset(self) -> None:
         """Drop every instrument."""
@@ -330,9 +371,9 @@ def render_prometheus(
 
     Counters and gauges map to their native Prometheus types; timers and
     histograms are exposed as summaries — ``{quantile="0.5|0.95|0.99"}``
-    samples over the retained window plus ``_sum``/``_count`` over the
-    full stream.  Dots in instrument names become underscores and every
-    name is prefixed with ``namespace`` (default ``repro``).
+    samples plus ``_sum``/``_count``, all over the whole stream.  Dots in
+    instrument names become underscores and every name is prefixed with
+    ``namespace`` (default ``repro``).
     """
     lines: list[str] = []
 

@@ -22,8 +22,7 @@ Metrics recorded into the registry (default names, ``prefix`` swaps the
 ``scenario`` root): ``scenario.requests`` / ``scenario.errors`` /
 ``scenario.errors.<ExceptionName>`` counters,
 ``scenario.latency.total_seconds`` and
-``scenario.latency.send_lag_seconds`` histograms (retention bounded by
-:data:`repro.serve.config.REQUEST_HISTOGRAM_KEEP`),
+``scenario.latency.send_lag_seconds`` histograms,
 ``scenario.inflight`` and ``scenario.duration_seconds`` gauges.
 """
 
@@ -39,7 +38,6 @@ import numpy as np
 from repro.analysis import sanitizer as _sanitize
 from repro.obs import runtime as _obs
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.config import REQUEST_HISTOGRAM_KEEP
 from repro.scenarios.spec import ArrivalSpec
 
 __all__ = ["ArrivalSchedule", "LoadResult", "run_load"]
@@ -171,12 +169,8 @@ def run_load(
     if concurrency <= 0:
         raise ValueError(f"concurrency must be positive, got {concurrency}")
     metrics = registry if registry is not None else _obs.metrics_registry()
-    latency = metrics.histogram(
-        f"{prefix}.latency.total_seconds", keep=REQUEST_HISTOGRAM_KEEP
-    )
-    send_lag = metrics.histogram(
-        f"{prefix}.latency.send_lag_seconds", keep=REQUEST_HISTOGRAM_KEEP
-    )
+    latency = metrics.histogram(f"{prefix}.latency.total_seconds")
+    send_lag = metrics.histogram(f"{prefix}.latency.send_lag_seconds")
     requests_counter = metrics.counter(f"{prefix}.requests")
     errors_counter = metrics.counter(f"{prefix}.errors")
     inflight = metrics.gauge(f"{prefix}.inflight")

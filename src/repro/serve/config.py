@@ -13,22 +13,13 @@ from typing import Any, Mapping
 
 from repro._validation import require_positive_int
 
-__all__ = ["ServeConfig", "DEFAULT_PORT", "MAX_BODY_BYTES", "REQUEST_HISTOGRAM_KEEP"]
+__all__ = ["ServeConfig", "DEFAULT_PORT", "MAX_BODY_BYTES"]
 
 #: Default TCP port of ``dygroups serve``.
 DEFAULT_PORT = 8750
 
 #: Largest accepted request body (a 1M-member cohort is ~20 MB of JSON).
 MAX_BODY_BYTES = 32 * 1024 * 1024
-
-#: Raw-retention bound for every request-path histogram/timer (HTTP
-#: request latency, the round path's kernel stage, scenario
-#: load-generator latencies).  A long-lived ``dygroups serve`` process
-#: records one observation per request; unbounded retention would grow
-#: memory without bound, so percentiles describe the most recent
-#: ``REQUEST_HISTOGRAM_KEEP`` observations while count/total/min/max
-#: keep tracking the full stream.
-REQUEST_HISTOGRAM_KEEP = 4096
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ from urllib.parse import parse_qs
 
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
-from repro.serve.config import MAX_BODY_BYTES, REQUEST_HISTOGRAM_KEEP, ServeConfig
+from repro.serve.config import MAX_BODY_BYTES, ServeConfig
 from repro.serve.errors import InvalidRequest, ServeError
 from repro.serve.service import GroupingService
 
@@ -295,7 +295,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def _handle(self, method: str) -> None:
         registry = _obs.metrics_registry()
         registry.counter("serve.http.requests").inc()
-        timer = registry.timer("serve.http.request_seconds", keep=REQUEST_HISTOGRAM_KEEP)
+        timer = registry.timer("serve.http.request_seconds")
         path, _, query = self.path.partition("?")
         self._query = parse_qs(query)
         try:

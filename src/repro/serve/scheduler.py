@@ -17,8 +17,7 @@ policy's grouper, not on the cohort's interaction mode, so a
 ``dygroups-star`` cohort playing clique rounds still gets the star
 grouping its policy proposes.
 
-``serve.scheduler.kernel_seconds`` times each call (all of its rounds),
-retention-bounded by :data:`repro.serve.config.REQUEST_HISTOGRAM_KEEP`.
+``serve.scheduler.kernel_seconds`` times each call (all of its rounds).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.core.grouping import Grouping
 from repro.engine.kernel import ProposeFn
 from repro.obs import runtime as _obs
 from repro.serve.cache import GroupingCache
-from repro.serve.config import REQUEST_HISTOGRAM_KEEP
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.sessions import CohortSession
@@ -59,9 +57,7 @@ class BatchScheduler:
 
     def __init__(self, cache: "GroupingCache | None" = None) -> None:
         self.cache = cache
-        self._kernel_seconds = _obs.metrics_registry().timer(
-            "serve.scheduler.kernel_seconds", keep=REQUEST_HISTOGRAM_KEEP
-        )
+        self._kernel_seconds = _obs.metrics_registry().timer("serve.scheduler.kernel_seconds")
 
     def step_rounds(self, session: "CohortSession", rounds: int) -> "list[dict[str, Any]]":
         """Advance ``session`` by ``rounds`` rounds; returns their records in play order.

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from datetime import datetime, timezone
 from typing import Any, Callable
 
@@ -218,7 +218,8 @@ class SessionStore:
         # RLock: delete() re-enters get() under the same lock.
         self._lock = _sanitize.rlock("serve.sessions.store")
         self._sessions: dict[str, CohortSession] = {}
-        self._deadlines: dict[str, float] = {}
+        # One TTL on a monotonic clock: touch order is deadline order.
+        self._deadlines: "OrderedDict[str, float]" = OrderedDict()
         self._evicted_ids: "deque[str]" = deque(maxlen=_EVICTED_MEMORY)
         self._evicted_set: set[str] = set()
         self._counter = itertools.count(1)
@@ -275,6 +276,7 @@ class SessionStore:
                 raise CohortNotFound(f"no cohort registered under id {session_id!r}")
             if touch:
                 self._deadlines[session_id] = self._clock() + self.ttl_seconds
+                self._deadlines.move_to_end(session_id)
             return session
 
     def delete(self, session_id: str) -> CohortSession:
@@ -292,11 +294,10 @@ class SessionStore:
 
     def _evict_expired_locked(self) -> list[str]:
         now = self._clock()
-        expired = [sid for sid, deadline in self._deadlines.items() if deadline <= now]
         evicted: list[str] = []
-        for sid in expired:
+        while self._deadlines and next(iter(self._deadlines.values())) <= now:
+            sid, _ = self._deadlines.popitem(last=False)
             session = self._sessions.pop(sid)
-            del self._deadlines[sid]
             if len(self._evicted_ids) == self._evicted_ids.maxlen:
                 self._evicted_set.discard(self._evicted_ids[0])
             self._evicted_ids.append(sid)

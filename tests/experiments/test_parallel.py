@@ -258,6 +258,17 @@ class TestWorkerPool:
             run_spec(spec, workers=3)
         assert asked == [spec.runs, 2 * spec.runs, 3]
 
+    def test_warm_pool_that_fits_is_reused(self, tmp_path):
+        small = ExperimentSpec(n=20, k=2, alpha=2, runs=2, seed=1, algorithms=("dygroups",))
+        large = ExperimentSpec(n=20, k=2, alpha=2, runs=6, seed=1, algorithms=("dygroups",))
+        path = tmp_path / "pool.jsonl"
+        with runtime.observed(journal=path):
+            for current in (small, large, small, large):
+                run_spec(current, workers=3)
+            shutdown_shared_pool()
+        starts = [r["workers"] for r in read_journal(path) if r["event"] == "pool_start"]
+        assert starts == [2, 3]
+
     def test_worker_crash_raises_and_pool_respawns(self, spec):
         pool = shared_pool(2)
         with pytest.raises(WorkerPoolError, match="worker process died"):

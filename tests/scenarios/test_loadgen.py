@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import BUCKETS_PER_OCTAVE, MetricsRegistry
 from repro.scenarios.loadgen import ArrivalSchedule, run_load
 from repro.scenarios.spec import ArrivalSpec
-from repro.serve.config import REQUEST_HISTOGRAM_KEEP
 
 
 class FakeClock:
@@ -107,7 +106,13 @@ class TestRunLoad:
             registry=registry,
         )
         histogram = registry.histogram("scenario.latency.total_seconds")
-        assert histogram.keep == REQUEST_HISTOGRAM_KEEP
+        for i in range(10_000):
+            histogram.observe(1e-4 * (1 + i / 100))
+        # Bounded by construction: 10,000 distinct values within a factor
+        # of 101 (under seven octaves) share at most 8 octaves of buckets.
+        assert histogram.count == 10_003
+        assert not hasattr(histogram, "values")
+        assert len(histogram.snapshot()["buckets"]) <= 8 * BUCKETS_PER_OCTAVE
 
     def test_open_loop_latency_measured_from_intended_send_time(self):
         """Coordinated omission: a slow handler delays later sends, and
@@ -129,10 +134,14 @@ class TestRunLoad:
             clock=clock,
             sleep=clock.sleep,
         )
-        latencies = list(registry.histogram("scenario.latency.total_seconds").values)
-        assert latencies == pytest.approx([0.05, 0.10, 0.15])
-        lags = list(registry.histogram("scenario.latency.send_lag_seconds").values)
-        assert lags == pytest.approx([0.0, 0.05, 0.10])
+        latencies = registry.histogram("scenario.latency.total_seconds")
+        assert latencies.count == 3
+        assert (latencies.min, latencies.max) == pytest.approx((0.05, 0.15))
+        assert latencies.total == pytest.approx(0.30)
+        lags = registry.histogram("scenario.latency.send_lag_seconds")
+        assert lags.count == 3
+        assert (lags.min, lags.max) == pytest.approx((0.0, 0.10))
+        assert lags.total == pytest.approx(0.15)
 
     def test_closed_loop_latency_measured_from_actual_send(self):
         clock = FakeClock()
@@ -149,8 +158,10 @@ class TestRunLoad:
             clock=clock,
             sleep=clock.sleep,
         )
-        latencies = list(registry.histogram("scenario.latency.total_seconds").values)
-        assert latencies == pytest.approx([0.05, 0.05, 0.05])
+        latencies = registry.histogram("scenario.latency.total_seconds")
+        assert latencies.count == 3
+        assert (latencies.min, latencies.max) == pytest.approx((0.05, 0.05))
+        assert latencies.total == pytest.approx(0.15)
         assert registry.histogram("scenario.latency.send_lag_seconds").count == 0
 
     def test_open_loop_sender_sleeps_until_offset(self):

@@ -219,11 +219,20 @@ class TestOperationalEndpoints:
         """Regression: a long-lived server must not retain unbounded
         per-request latency samples."""
         from repro.obs import runtime
-        from repro.serve.config import REQUEST_HISTOGRAM_KEEP
+        from repro.obs.metrics import BUCKETS_PER_OCTAVE
 
         client.healthz()
         timer = runtime.metrics_registry().timer("serve.http.request_seconds")
-        assert timer.keep == REQUEST_HISTOGRAM_KEEP
+        count, buckets = timer.count, len(timer.snapshot()["buckets"])
+        for i in range(10_000):
+            timer.observe(1e-4 * (1 + i / 100))
+        # Bounded by construction: 10,000 distinct values within a factor
+        # of 101 (under seven octaves) add at most 8 octaves of buckets.
+        assert timer.count == count + 10_000
+        assert not hasattr(timer, "values")
+        snapshot = timer.snapshot()
+        assert "values" not in snapshot and "retained" not in snapshot
+        assert len(snapshot["buckets"]) <= buckets + 8 * BUCKETS_PER_OCTAVE
 
 
 class TestErrorEnvelopes:

@@ -129,6 +129,21 @@ class TestSessionStore:
         clock.now = 8.0  # would be expired without the touch
         assert store.get(session.id) is session
 
+    def test_touched_cohort_outlives_later_ones(self, skills):
+        clock = FakeClock()
+        evicted = []
+        store = SessionStore(ttl_seconds=5.0, clock=clock, on_evict=evicted.append)
+        created = []
+        for now in (0.0, 0.5, 1.0):
+            clock.now = now
+            created.append(store.add(lambda sid: build_session(sid, skills)).id)
+        clock.now = 2.0
+        store.get(created[0])  # the oldest cohort now expires last
+        clock.now = 6.2
+        assert store.evict_expired() == created[1:]
+        assert [s.id for s in evicted] == created[1:]
+        assert store.ids() == created[:1]
+
     def test_capacity_bound(self, skills):
         store = SessionStore(max_sessions=2)
         store.add(lambda sid: build_session(sid, skills))

@@ -257,6 +257,16 @@ class TestCommands:
         assert "core.simulate" in out
         assert "% wall" in out
 
+    def test_journal_records_pool_stop_before_close(self, capsys, tmp_path):
+        from repro.obs.journal import read_journal
+
+        journal_file = tmp_path / "pool.jsonl"
+        argv = "run --n 20 --k 2 --alpha 2 --runs 4 --algorithms dygroups --workers 2"
+        assert main([*argv.split(), "--journal", str(journal_file)]) == 0
+        events = [record["event"] for record in read_journal(journal_file)]
+        assert events.index("parallel_end") < events.index("pool_stop")
+        assert events.index("pool_stop") < events.index("journal_close")
+
     def test_run_with_trace_only_prints_summary(self, capsys):
         code = main(
             [
