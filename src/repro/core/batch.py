@@ -4,7 +4,10 @@ Both ``DYGROUPS-MODE-LOCAL`` groupers are pure functions of the
 *descending order* of the skill array (Algorithms 2 and 3), so proposing
 for ``m`` same-shaped skill vectors reduces to a single ``(m, n)`` stable
 descending order — one vectorized numpy sort instead of ``m`` Python
-round trips — followed by an index gather per row.
+round trips — followed by an index gather per row.  From the second
+round on, that sort is mostly a merge: DyGroups lists every group in
+descending order and both skill updates keep it so, so the previous
+round's members matrix lists each row as ``k`` presorted runs.
 
 The pieces, used by the stacked-trial simulation engine
 (:mod:`repro.core.vectorized`), the scalar groupers
@@ -21,10 +24,13 @@ The pieces, used by the stacked-trial simulation engine
   ``[g·t, (g+1)·t)``), the layout the batched update kernels consume;
   the grouping memo groups its misses through it.
 * :func:`descending_orders` — the single stable ``(m, n)`` descending
-  order every batched grouper reduces to (a SIMD sort plus an exact
-  repair of tie order).
+  order every batched grouper reduces to: a SIMD sort, or a stable merge
+  of the previous round's groups, plus an exact repair of tie order.
 * :func:`listing_members` — apply a rank listing to those orders,
   giving the C-ordered ``(m, n)`` members matrix.
+* :func:`flat_indices` — per-row column indices as flat indices into
+  the raveled matrix, so the sort and the update kernels gather and
+  scatter rows with one ``np.take`` or one flat assignment.
 * :func:`as_skills_matrix` — validate/coerce a batch of skill vectors to
   a fresh ``(m, n)`` float64 matrix.
 
@@ -32,7 +38,8 @@ Bit-identity with the scalar groupers is guaranteed (and pinned by
 tests): row ``i`` of ``listing_members(descending_orders(S),
 flat_rank_listing(n, k, mode))``, cut into ``k`` consecutive groups,
 lists exactly the same members in exactly the same order as
-``dygroups_star_local(S[i], k)`` / ``dygroups_clique_local(S[i], k)``.
+``dygroups_star_local(S[i], k)`` / ``dygroups_clique_local(S[i], k)``,
+whatever previous members matrix the sort was handed.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ __all__ = [
     "SharedMatrix",
     "as_skills_matrix",
     "descending_orders",
+    "flat_indices",
     "flat_rank_listing",
     "listing_members",
     "rank_structure",
@@ -107,33 +115,70 @@ def flat_rank_listing(n: int, k: int, mode: str) -> np.ndarray:
     return _flat_rank_listing_cached(n, k, mode)
 
 
-def descending_orders(matrix: np.ndarray) -> np.ndarray:
+def flat_indices(index: np.ndarray) -> np.ndarray:
+    """Flat indices into a C-ordered ``(m, n)`` matrix of per-row column indices.
+
+    Entry ``[i, j]`` of ``index`` (each in ``0 … n−1``) becomes
+    ``i·n + index[i, j]``, raveled.  ``np.take(matrix, flat_indices(index))``
+    then gathers what ``np.take_along_axis(matrix, index, axis=1)`` does,
+    and ``out.reshape(-1)[flat_indices(index)] = values`` scatters it back,
+    without the broadcast index arrays of the ``*_along_axis`` calls.
+    """
+    rows, n = index.shape
+    if rows == 1:
+        return index.reshape(n)
+    return (index + np.arange(0, rows * n, n, dtype=np.intp)[:, None]).reshape(-1)
+
+
+def descending_orders(matrix: np.ndarray, previous: "np.ndarray | None" = None) -> np.ndarray:
     """Stable descending argsort of each row of a ``(m, n)`` skill matrix.
 
     This is the one vectorized call every batched DyGroups grouper reduces
     to; ties keep ascending column-index order, matching the scalar
     :func:`repro.core.skills.descending_order` exactly.
 
-    For strictly positive rows (the validated skill domain) the sort runs
-    on the IEEE-754 bit patterns instead of the floats: positive doubles
-    order identically to their ``int64`` views, and equal values share one
-    bit pattern (no signed zeros in the domain).  Those keys take numpy's
-    unstable argsort, which is a SIMD sort on CPUs that have one; numpy's
-    stable sort of ``int64`` keys is timsort, several times slower.  The
-    unstable sort may list equal keys out of index order, so an ``O(n)``
-    scan of adjacent sorted keys finds the rows with ties, and only those
-    rows are re-sorted stably — same permutation, bit for bit.
-    Non-positive or non-finite input takes the stable float sort.
+    For strictly positive rows (the validated skill domain, and ``+inf``,
+    the largest positive bit pattern) the sort runs on the IEEE-754 bit
+    patterns instead of the floats: positive doubles order identically to
+    their ``int64`` views, and equal values share one bit pattern (no
+    signed zeros in the domain).  Without ``previous`` those keys take
+    numpy's unstable argsort, which is a SIMD sort on CPUs that have one.
+
+    ``previous`` is the members matrix proposed last round (same shape,
+    each row a permutation of ``0 … n−1``).  DyGroups lists every group in
+    descending order and both skill updates keep it so, so the keys
+    gathered through ``previous`` form ``k`` presorted runs, and numpy's
+    stable ``int64`` argsort (timsort) merges them in far less time than
+    a fresh sort; the result is mapped back through ``previous``.
+
+    Either sort may list equal keys out of index order, so one scan of
+    adjacent sorted keys over all rows finds the rows with ties, and only
+    those rows are re-sorted stably by key — the permutation is the same,
+    bit for bit, whatever ``previous`` holds (a tie-free descending order
+    is unique); only the speed depends on its presorted runs.
+    Non-positive or NaN input takes the stable float sort.
+
+    Raises:
+        ValueError: if ``previous`` is not of the matrix's shape.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if previous is not None and previous.shape != matrix.shape:
+        raise ValueError(f"previous has shape {previous.shape}; expected {matrix.shape}")
     if not (matrix.size and np.all(matrix > 0.0)):
         return np.argsort(-matrix, axis=1, kind="stable")
     keys = -matrix.view(np.int64)
-    orders = np.argsort(keys, axis=1)
-    for row, order in enumerate(orders):
-        sorted_keys = np.take(keys[row], order)
-        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-            orders[row] = np.argsort(keys[row], kind="stable")
+    if previous is None:
+        orders = np.argsort(keys, axis=1)
+        sorted_keys = np.take(keys, flat_indices(orders)).reshape(keys.shape)
+    else:
+        runs = np.take(keys, flat_indices(previous)).reshape(keys.shape)
+        merged = flat_indices(np.argsort(runs, axis=1, kind="stable"))
+        orders = np.take(previous, merged).reshape(keys.shape)
+        sorted_keys = np.take(runs, merged).reshape(keys.shape)
+    # Once sorted, a row's equal keys are neighbours.
+    tied = np.any(sorted_keys[:, 1:] == sorted_keys[:, :-1], axis=1)
+    if tied.any():
+        orders[tied] = np.argsort(keys[tied], axis=1, kind="stable")
     return orders
 
 

@@ -6,12 +6,17 @@ The scalar engine (:func:`repro.core.simulation.simulate`) runs them one
 at a time; this module runs the whole stack per round with a handful of
 vectorized numpy calls:
 
-* both ``DYGROUPS-MODE-LOCAL`` groupers (and the percentile baseline) are
-  pure functions of the descending order, so proposing for ``R`` trials is
-  one ``(R, n)`` stable descending order
-  (:func:`repro.core.batch.descending_orders`) plus an index gather;
-* the Star update is a row-wise group-max gather over the ``(R, k, t)``
-  member tensor;
+* both ``DYGROUPS-MODE-LOCAL`` groupers (and the percentile and
+  fair-star baselines) are pure functions of the descending order, so
+  proposing for ``R`` trials is one ``(R, n)`` stable descending order
+  (:func:`repro.core.batch.descending_orders`) plus an index gather.
+  From round 2 on the policy hands that sort the members matrix it
+  proposed last round; both updates keep a DyGroups group in descending
+  order, so the sort merges ``k`` presorted runs instead of sorting
+  afresh;
+* the Star update gathers the ``(R, k, t)`` member tensor with one flat
+  ``np.take``, adds each group's teacher gain in place and scatters it
+  back with one flat assignment;
 * the Clique update applies Theorem 3's prefix-sum formula to the same
   tensor, whose groups those proposals already list in descending order
   (other proposals, such as random assignment, are sorted first).
@@ -107,20 +112,35 @@ class VectorizedPolicy(abc.ABC):
 class _RankListingPolicy(VectorizedPolicy):
     """Deterministic policy that is a pure function of the descending order.
 
-    Covers DyGroups Star/Clique (Algorithms 2 and 3) and the percentile
-    baseline: the member listing over *ranks* is fixed per ``(n, k)``, so
-    a proposal is one batched argsort plus a gather.
+    Covers DyGroups Star/Clique (Algorithms 2 and 3), the percentile
+    baseline and fair-star: the member listing over *ranks* is fixed per
+    ``(n, k)``, so a proposal is one batched argsort plus a gather.  The
+    policy keeps its last (read-only) members matrix and hands it to the
+    next sort of the same shape, which then merges the groups just played
+    instead of sorting afresh; :meth:`reset` drops it.  The proposal is
+    the same whatever that matrix holds, only faster when it lists the
+    rows in presorted runs.
     """
 
     def __init__(self, name: str, listing_for: "callable") -> None:
         self.name = name
         self._listing_for = listing_for
+        self._previous: "np.ndarray | None" = None
+
+    def reset(self) -> None:
+        self._previous = None
 
     def propose_many(
         self, skills: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
         listing = self._listing_for(skills.shape[1], k)
-        return listing_members(descending_orders(skills), listing)
+        previous = self._previous
+        if previous is not None and previous.shape != skills.shape:
+            previous = None
+        members = listing_members(descending_orders(skills, previous), listing)
+        members.setflags(write=False)
+        self._previous = members
+        return members
 
 
 @lru_cache(maxsize=256)
@@ -444,7 +464,9 @@ def simulate_many(
 
     rngs = [np.random.default_rng(s) for s in seed_list]
     vec.reset()
-    initial = matrix.copy()
+    # as_skills_matrix made a private copy, and the kernel never mutates
+    # the skills it steps from, so the input doubles as the initial state.
+    initial = matrix
     history = np.empty((trials, alpha + 1, n), dtype=np.float64) if record_history else None
     if history is not None:
         history[:, 0] = matrix

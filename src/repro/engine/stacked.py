@@ -9,11 +9,15 @@ Bit-identity with the scalar kernel is a hard design constraint, pinned
 by hypothesis properties in ``tests/properties``: every elementwise
 float operation here is the same operation, on the same operands, as its
 scalar counterpart — gathering values into a different layout does not
-change what is added to what.  Clique tie order matches the scalar
-``np.lexsort((-skills, labels))`` convention: DyGroups and percentile
-proposals already list each group in (−value, index) order, which an
-``O(n)`` check confirms, and any other members matrix takes a two-pass
-stable sort (by member index, then by descending value).
+change what is added to what.  Both update kernels gather the ``(R, k,
+t)`` group tensor with one flat ``np.take`` over the raveled matrix
+(row offsets added to the member indices), update it in place and
+scatter it back with one flat assignment.  Clique tie order matches the
+scalar ``np.lexsort((-skills, labels))`` convention: DyGroups and
+percentile proposals already list each group in (−value, index) order,
+which an ``O(n)`` check confirms, and any other members matrix is
+sorted within its groups by one ``np.lexsort`` (descending value, then
+member index).
 
 The update kernels (:func:`update_star_many`, :func:`update_clique_many`)
 live here beside the kernel that calls them; ``repro.core.vectorized``
@@ -30,6 +34,7 @@ import numpy as np
 
 from repro._validation import require_divisible_groups
 from repro.analysis import contracts as _contracts
+from repro.core.batch import flat_indices
 from repro.core.gain_functions import GainFunction
 from repro.core.interactions import InteractionMode, get_mode
 from repro.obs import runtime as _obs
@@ -68,14 +73,17 @@ def update_star_many(
     in columns ``[g·t, (g+1)·t)``).  Per trial this performs exactly the
     scalar :func:`repro.core.update.update_star` arithmetic: every member
     adds ``gain(teacher − s)`` with the teacher the group's row-wise max.
+    The groups are gathered with one flat ``np.take``, updated in place
+    and scattered back with one flat assignment.
     """
     t = _check_members(skills, members, k)
-    trials, n = skills.shape
-    group_vals = np.take_along_axis(skills, members, axis=1).reshape(trials, k, t)
-    teachers = np.max(group_vals, axis=2, keepdims=True)
-    updated_groups = group_vals + np.asarray(gain(teachers - group_vals), dtype=np.float64)
-    out = np.empty_like(skills)
-    np.put_along_axis(out, members, updated_groups.reshape(trials, n), axis=1)
+    trials = skills.shape[0]
+    flat = flat_indices(members)
+    vals = np.take(skills, flat).reshape(trials, k, t)
+    teachers = np.max(vals, axis=2, keepdims=True)
+    vals += np.asarray(gain(teachers - vals), dtype=np.float64)
+    out = np.empty_like(skills, order="C")
+    out.reshape(-1)[flat] = vals.reshape(-1)
     return out
 
 
@@ -98,7 +106,9 @@ def update_clique_many(
     operations and operand order as the scalar kernel.  DyGroups and
     percentile proposals already list every group in that order, which an
     ``O(n)`` check confirms; any other members matrix (``random``, say)
-    is sorted into it with a two-pass stable sort.
+    is sorted into it with one ``np.lexsort`` per group.  The increment
+    is added in place to the gathered values, which one flat assignment
+    scatters back.
 
     Raises:
         ValueError: for a non-linear gain function (no closed form; use
@@ -108,25 +118,28 @@ def update_clique_many(
     if not gain.is_linear:
         raise ValueError("update_clique_many requires a linear gain function")
     rate: float = gain.rate  # type: ignore[attr-defined]
-    trials, n = skills.shape
-    mem = members.reshape(trials, k, t)
-    vals = np.take_along_axis(skills, members, axis=1).reshape(trials, k, t)
-    if not _groups_in_rank_order(vals, mem):
-        # Two-pass stable sort == lexsort((-value, member)): order members
-        # ascending first so the stable by-value pass breaks ties by index.
-        by_index = np.argsort(mem, axis=2, kind="stable")
-        mem = np.take_along_axis(mem, by_index, axis=2)
-        vals = np.take_along_axis(vals, by_index, axis=2)
-        by_value = np.argsort(-vals, axis=2, kind="stable")
-        mem = np.take_along_axis(mem, by_value, axis=2)
-        vals = np.take_along_axis(vals, by_value, axis=2)
-    increment = np.zeros_like(vals)
+    trials = skills.shape[0]
+    # Within a row, flat indices order exactly as member indices do.
+    flat = flat_indices(members).reshape(trials, k, t)
+    vals = np.take(skills, flat)
+    if not _groups_in_rank_order(vals, flat):
+        # lexsort's last key is primary: descending value, ties by index.
+        within = flat_indices(np.lexsort((flat, -vals), axis=2).reshape(trials * k, t))
+        flat = np.take(flat, within).reshape(trials, k, t)
+        vals = np.take(vals, within).reshape(trials, k, t)
     if t > 1:
+        # Theorem 3 in place, in the scalar kernel's operation order:
+        # s_{i+1} += r·(c_i − i·s_{i+1}) / i, with c_i the top-i prefix sum.
         prefix = np.cumsum(vals, axis=2)
         ranks = np.arange(1, t, dtype=np.float64)
-        increment[:, :, 1:] = rate * (prefix[:, :, :-1] - ranks * vals[:, :, 1:]) / ranks
-    out = np.empty_like(skills)
-    np.put_along_axis(out, mem.reshape(trials, n), (vals + increment).reshape(trials, n), axis=1)
+        later = vals[:, :, 1:]
+        increment = ranks * later
+        np.subtract(prefix[:, :, :-1], increment, out=increment)
+        increment *= rate
+        increment /= ranks
+        later += increment
+    out = np.empty_like(skills, order="C")
+    out.reshape(-1)[flat.reshape(-1)] = vals.reshape(-1)
     return out
 
 

@@ -4,7 +4,8 @@ Bit-identity with the scalar engine over randomized instances lives in
 ``tests/properties/test_vectorized_properties.py``; this file covers the
 deterministic pieces: the batched update kernels against their scalar
 counterparts on fixed inputs, the :func:`vectorize_policy` dispatch
-table, engine selection / validation errors, and the
+table, engine selection / validation errors, the previous round's
+members that rank-listing policies hand their sort, and the
 :class:`BatchSimulationResult` accessors.
 """
 
@@ -20,6 +21,7 @@ from repro.baselines.lpa import LpaGrouping
 from repro.baselines.percentile import PercentilePartitions
 from repro.baselines.random_assignment import RandomAssignment
 from repro.baselines.static import StaticPolicy
+from repro.core.batch import flat_rank_listing, listing_members
 from repro.core.dygroups import DyGroupsClique, DyGroupsStar
 from repro.core.gain_functions import LinearGain
 from repro.core.grouping import Grouping
@@ -300,6 +302,39 @@ class TestSimulateMany:
         batch = simulate_many(DyGroupsStar(), skills, k=3, alpha=3, mode="star", rate=0.5)
         np.testing.assert_array_equal(skills, frozen)
         np.testing.assert_array_equal(batch.initial_skills, frozen)
+
+    def test_rounds_after_the_first_hand_the_sort_the_prior_members(self, monkeypatch):
+        from repro.core import vectorized as mod
+
+        real = mod.descending_orders
+        hints = []
+
+        def spy(matrix, previous=None):
+            hints.append(previous)
+            return real(matrix, previous)
+
+        monkeypatch.setattr(mod, "descending_orders", spy)
+        batch = simulate_many(
+            DyGroupsStar(), self._skills(trials=3), k=3, alpha=3, mode="star", rate=0.5,
+            record_history=True,
+        )
+        assert len(hints) == 3 and hints[0] is None
+        listing = flat_rank_listing(12, 3, "star")
+        for t in (1, 2):
+            played = listing_members(real(batch.skill_history[:, t - 1]), listing)
+            assert np.array_equal(hints[t], played)
+            assert not hints[t].flags.writeable
+
+        vec = vectorize_policy(DyGroupsStar())
+        hints.clear()
+        vec.propose_many(self._skills(trials=2), 3, [])
+        vec.propose_many(self._skills(trials=2, seed=1), 3, [])
+        vec.reset()
+        vec.propose_many(self._skills(trials=2, seed=2), 3, [])
+        vec.propose_many(self._skills(trials=4, seed=3), 3, [])
+        assert hints[0] is None and hints[1] is not None
+        assert hints[2] is None  # after reset()
+        assert hints[3] is None  # after a change of shape
 
     def test_contracts_catch_bad_members_matrix(self):
         class Broken(VectorizedPolicy):

@@ -4,7 +4,8 @@ Two claims, over randomized ``(n, k, r, skills)`` instances for both the
 star and clique policies:
 
 1. the contracts never fire on the real implementation — every check in
-   :mod:`repro.analysis.contracts` passes on genuine simulator output;
+   :mod:`repro.analysis.contracts` passes on genuine simulator output,
+   from the scalar engine and from multi-round stacked batches alike;
 2. enabling contracts is observationally free — trajectories are
    bit-identical with the checks on and off.
 """
@@ -30,6 +31,7 @@ from repro.core.grouping import Grouping
 from repro.core.local import dygroups_clique_local, dygroups_star_local
 from repro.core.simulation import simulate
 from repro.core.update import update_clique, update_star
+from repro.core.vectorized import simulate_many
 
 
 @st.composite
@@ -55,11 +57,20 @@ def tdg_instances(draw, max_group_size: int = 5, max_k: int = 4):
 @settings(max_examples=40, deadline=None)
 def test_contracts_hold_on_real_simulations(policy_cls, mode, instance):
     skills, k, rate, seed = instance
+    # The stacked engine runs a three-row batch: the same values in three
+    # member orders, stepped for the same rounds as the scalar run.
+    rows = np.vstack([skills, np.random.default_rng(seed).permutation(skills), skills[::-1]])
     with contracts.contracts_scope():
         result = simulate(
             policy_cls(), skills, k=k, alpha=3, mode=mode, rate=rate, seed=seed
         )
+        batch = simulate_many(
+            policy_cls(), rows, k=k, alpha=3, mode=mode, rate=rate,
+            seeds=[seed] * 3, engine="vectorized",
+        )
+    assert batch.engine == "vectorized"
     assert np.all(result.round_gains >= 0.0)
+    assert np.all(batch.round_gains >= 0.0)
 
 
 @pytest.mark.parametrize("policy_cls,mode", [(DyGroupsStar, "star"), (DyGroupsClique, "clique")])

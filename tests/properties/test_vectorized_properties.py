@@ -12,10 +12,12 @@ pairwise reference.  The :meth:`Clique.group_gain` prefix-sum fast path
 is pinned against its retained loop reference as well.
 
 The round step's shortcuts are pinned on their own: the batched
-descending order (an unstable sort plus a tie repair) equals numpy's
-stable argsort on tie-heavy, mixed and subnormal rows; the Clique update
-gives the same skills whether or not a proposal's groups arrive already
-sorted; and rank-listing proposals come back C-ordered.
+descending order (an unstable sort, or a merge of the previous round's
+members, plus a tie repair) equals numpy's stable argsort on tie-heavy,
+mixed and subnormal rows, whatever previous members matrix it is handed;
+the Clique update gives the same skills whether or not a proposal's
+groups arrive already sorted; and rank-listing proposals come back
+C-ordered.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _policies_for(mode: str):
 
 
 @pytest.mark.parametrize("mode", ["star", "clique"])
-@given(instance=batch_instances())
+@given(instance=st.one_of(batch_instances(), tied_batch_instances()))
 @settings(max_examples=25, deadline=None)
 def test_simulate_many_rows_bit_identical_to_scalar(mode, instance):
     skills, k, rate, seeds = instance
@@ -174,10 +176,41 @@ def order_matrices(draw, max_trials: int = 4, max_n: int = 40):
     return np.asarray(rows, dtype=np.float64)
 
 
-@given(matrix=order_matrices())
+#: The previous members matrices a sort can be handed: no hint, the
+#: identity, the reversal, a random permutation per row, and a stale
+#: members matrix that DyGroups proposed for another matrix of the shape.
+_PREVIOUS_KINDS = (None, "identity", "reversed", "random", "stale")
+
+
+def _previous_members(kind, matrix, seed):
+    trials, n = matrix.shape
+    if kind is None:
+        return None
+    if kind == "identity":
+        return np.tile(np.arange(n, dtype=np.intp), (trials, 1))
+    if kind == "reversed":
+        return np.tile(np.arange(n - 1, -1, -1, dtype=np.intp), (trials, 1))
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return np.vstack([rng.permutation(n) for _ in range(trials)])
+    if n < 2:  # no grouping has a single member; its one order is 0
+        return np.zeros((trials, 1), dtype=np.intp)
+    other = rng.lognormal(1.0, 0.5, size=matrix.shape)
+    k = next(d for d in (5, 4, 3, 2, 1) if n % d == 0 and n // d >= 2)
+    return vectorize_policy(DyGroupsStar()).propose_many(other, k, [])
+
+
+@given(
+    matrix=order_matrices(),
+    kind=st.sampled_from(_PREVIOUS_KINDS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
 @settings(max_examples=200, deadline=None)
-def test_descending_orders_equal_stable_argsort(matrix):
-    assert np.array_equal(descending_orders(matrix), np.argsort(-matrix, axis=1, kind="stable"))
+def test_descending_orders_equal_stable_argsort(matrix, kind, seed):
+    previous = _previous_members(kind, matrix, seed)
+    assert np.array_equal(
+        descending_orders(matrix, previous), np.argsort(-matrix, axis=1, kind="stable")
+    )
 
 
 def test_descending_orders_repair_ties_in_large_rows():
@@ -185,8 +218,20 @@ def test_descending_orders_repair_ties_in_large_rows():
     rng = np.random.default_rng(11)
     tied = rng.integers(1, 100_000, size=n).astype(np.float64)
     assert np.unique(tied).size < n
-    matrix = np.vstack([tied, rng.lognormal(1.0, 0.5, size=n), np.floor(tied / 50.0) + 1.0])
-    assert np.array_equal(descending_orders(matrix), np.argsort(-matrix, axis=1, kind="stable"))
+    mixed = np.vstack([tied, rng.lognormal(1.0, 0.5, size=n), np.floor(tied / 50.0) + 1.0])
+    all_tied = np.vstack([tied, np.floor(tied / 50.0) + 1.0])
+    for matrix in (mixed, all_tied):
+        expected = np.argsort(-matrix, axis=1, kind="stable")
+        for kind in _PREVIOUS_KINDS:
+            previous = _previous_members(kind, matrix, seed=12)
+            assert np.array_equal(descending_orders(matrix, previous), expected), kind
+
+
+def test_descending_orders_reject_a_previous_of_another_shape():
+    positive = np.random.default_rng(4).lognormal(1.0, 0.5, size=(2, 6))
+    for matrix in (positive, np.zeros((2, 6))):
+        with pytest.raises(ValueError, match="previous has shape"):
+            descending_orders(matrix, np.tile(np.arange(6), (3, 1)))
 
 
 @pytest.mark.parametrize("policy", [DyGroupsClique(), PercentilePartitions(0.75)])
