@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.registry import make_policy
 from repro.data.distributions import lognormal_skills
 from repro.extensions.retention_feedback import simulate_with_retention
+from repro.registry import build_policy
 
 from benchmarks._util import BENCH_RUNS, FULL, emit
 
@@ -29,7 +29,7 @@ def _run() -> dict[str, dict[str, float]]:
         retentions = []
         for seed in SEEDS:
             skills = lognormal_skills(N, seed=seed)
-            policy = make_policy(name, mode="star", rate=0.5)
+            policy = build_policy(name, mode="star", rate=0.5)
             result = simulate_with_retention(
                 policy, skills, k=5, alpha=ALPHA, rate=0.5, seed=seed
             )

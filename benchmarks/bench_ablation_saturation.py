@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.registry import make_policy
 from repro.core.dygroups import DyGroupsStar
 from repro.data.distributions import uniform_skills
 from repro.extensions.saturation import rounds_to_saturation_bound, simulate_full_rate
+from repro.registry import build_policy
 
 from benchmarks._util import FULL, emit
 
@@ -30,7 +30,7 @@ def _run() -> list[tuple[int, int, int, int, float]]:
             np.mean(
                 [
                     simulate_full_rate(
-                        make_policy("random"), skills, k=k, seed=s
+                        build_policy("random"), skills, k=k, seed=s
                     ).rounds_to_saturation
                     for s in range(5)
                 ]

@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.registry import make_policy
 from repro.core.simulation import simulate
 from repro.data.distributions import lognormal_skills
 from repro.experiments.render import render_table
 from repro.metrics.series import Series, SeriesSet
+from repro.registry import build_policy
 
 from benchmarks._util import BENCH_RUNS, FULL, emit
 
@@ -32,7 +32,7 @@ def _run(mode: str) -> SeriesSet:
         for run in range(BENCH_RUNS):
             skills = lognormal_skills(N, seed=run)
             for label in labels:
-                policy = make_policy(label, mode=mode, rate=0.5)
+                policy = build_policy(label, mode=mode, rate=0.5)
                 result = simulate(
                     policy,
                     skills,

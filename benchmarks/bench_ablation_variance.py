@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.local_optimum import STRATEGIES
-from repro.baselines.registry import make_policy
 from repro.core.dygroups import dygroups
 from repro.core.simulation import simulate
 from repro.data.distributions import lognormal_skills
 from repro.experiments.render import render_table
 from repro.metrics.series import Series, SeriesSet
+from repro.registry import build_policy
 
 from benchmarks._util import BENCH_RUNS, FULL, emit
 
@@ -38,7 +38,7 @@ def _run() -> SeriesSet:
                 dygroups(skills, k=5, alpha=alpha, rate=0.5, record_groupings=False).total_gain
             )
             for strategy in STRATEGIES:
-                policy = make_policy(f"local-optimum-{strategy}")
+                policy = build_policy(f"local-optimum-{strategy}")
                 result = simulate(
                     policy,
                     skills,

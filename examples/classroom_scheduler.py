@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import make_policy, simulate
+from repro import build_policy, simulate
 from repro.metrics.gain import normalized_gain
 
 CLASS_SIZE = 120
@@ -62,7 +62,7 @@ def main() -> None:
 
     results = {}
     for label, name in POLICIES.items():
-        policy = make_policy(name, mode="star", rate=LEARNING_RATE)
+        policy = build_policy(name, mode="star", rate=LEARNING_RATE)
         results[label] = simulate(
             policy,
             skills,

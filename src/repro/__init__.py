@@ -49,10 +49,10 @@ from repro.baselines import (
     RandomAssignment,
     StaticPolicy,
     brute_force_tdg,
-    make_policy,
 )
 from repro.data import lognormal_skills, toy_example_skills, uniform_skills, zipf_skills
 from repro.experiments import ExperimentSpec, run_spec, sweep
+from repro.registry import build_policy
 
 __version__ = "1.0.0"
 
@@ -86,7 +86,8 @@ __all__ = [
     "StaticPolicy",
     "ArbitraryLocalOptimum",
     "brute_force_tdg",
-    "make_policy",
+    # policy registry
+    "build_policy",
     # data
     "toy_example_skills",
     "lognormal_skills",

@@ -189,7 +189,7 @@ def _run_experiment(
 ) -> AmtExperimentResult:
     # Imported here: the registry reaches this module through the
     # extensions package, so a module-level import would be circular.
-    from repro.baselines.registry import make_policy
+    from repro.registry import build_policy
 
     rng = np.random.default_rng(seed)
     total = config.population_size * len(policies)
@@ -197,7 +197,7 @@ def _run_experiment(
     populations = matched_split(workers, list(policies), rng)
     traces: dict[str, PopulationTrace] = {}
     for population in populations:
-        policy = make_policy(population.name, mode=config.mode, rate=config.rate)
+        policy = build_policy(population.name, mode=config.mode, rate=config.rate)
         traces[population.name] = run_population(population, policy, config, rng)
     return AmtExperimentResult(config=config, traces=traces)
 

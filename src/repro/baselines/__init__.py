@@ -24,7 +24,6 @@ from repro.baselines.local_optimum import STRATEGIES, ArbitraryLocalOptimum
 from repro.baselines.lpa import LpaGrouping
 from repro.baselines.percentile import PercentilePartitions
 from repro.baselines.random_assignment import RandomAssignment
-from repro.baselines.registry import POLICY_NAMES, make_policy
 from repro.baselines.static import StaticPolicy
 
 __all__ = [
@@ -40,6 +39,4 @@ __all__ = [
     "brute_force_tdg",
     "count_equal_partitions",
     "iter_equal_partitions",
-    "POLICY_NAMES",
-    "make_policy",
 ]

@@ -42,10 +42,11 @@ given), plus ``--contracts`` to enable the runtime invariant checks of
 docs/static-analysis.md.
 
 The spec-driven subcommands (``run``, ``sweep``, ``grid``) additionally
-accept the performance knobs ``--engine {auto,scalar,vectorized}``
-(stacked-trial vectorized simulation) and ``--workers N`` (process
-parallelism on a warm worker pool; 0 and 1 mean serial) — both
-bit-identical to the scalar serial path; see docs/performance.md.
+accept the performance knobs ``--engine {auto,scalar}`` (``auto``
+stacks the runs through the vectorized kernels when the policy allows)
+and ``--workers N`` (process parallelism on a warm worker pool; 0 and 1
+mean serial) — both bit-identical to the scalar serial path; see
+docs/performance.md.
 """
 
 from __future__ import annotations
@@ -366,7 +367,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--seed", type=int, default=7)
-    from repro.engine.select import ENGINES
+    from repro.core.vectorized import ENGINES
 
     parser.add_argument(
         "--engine",

@@ -31,9 +31,10 @@ recording, and the scalar fallback.
 
 Policies without a vectorization (annealing, k-means, LPA, brute force)
 fall back to per-trial scalar :func:`~repro.core.simulation.simulate`
-calls automatically; :func:`simulate_many` is the single entry point
-either way, :func:`vectorize_policy` is the dispatch, and
-:func:`repro.engine.select.select_engine` is the decision.
+calls automatically.  :func:`simulate_many` is the single entry point
+either way and the one place that picks the engine;
+:func:`vectorize_policy` is the one dispatch from a scalar policy to its
+batched form.
 """
 
 from __future__ import annotations
@@ -57,8 +58,12 @@ from repro.core.gain_functions import GainFunction, LinearGain
 from repro.core.interactions import InteractionMode, get_mode
 from repro.core.simulation import GroupingPolicy, SimulationResult, simulate
 from repro.engine.kernel import check_required_mode
-from repro.engine.select import ENGINES, select_engine
-from repro.engine.stacked import StackedRoundKernel, update_clique_many, update_star_many
+from repro.engine.stacked import (
+    ENGINE_NAME,
+    StackedRoundKernel,
+    update_clique_many,
+    update_star_many,
+)
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -72,6 +77,12 @@ __all__ = [
 ]
 
 _log = logging.getLogger("repro.core.vectorized")
+
+#: Engine selectors accepted by :func:`simulate_many` and the experiment
+#: layer: ``"auto"`` stacks the trials when the policy and mode allow
+#: and falls back per trial otherwise; ``"scalar"`` forces the per-trial
+#: path.
+ENGINES: tuple[str, ...] = ("auto", "scalar")
 
 
 class VectorizedPolicy(abc.ABC):
@@ -212,20 +223,20 @@ def vectorize_policy(policy: GroupingPolicy) -> "VectorizedPolicy | None":
     """The batched counterpart of a scalar policy, or ``None``.
 
     Dispatches on the exact policy type (a subclass may have changed the
-    semantics, so it does not inherit its parent's vectorization), then
-    consults the unified registry's per-policy ``vectorizer`` hooks —
-    which is how extension policies (e.g. ``fair-star``) vectorize
-    without this module importing the extensions package.  Annealing,
-    k-means, LPA, and brute force have no vectorized form —
-    :func:`simulate_many` falls back to per-trial scalar simulation for
-    them.
+    semantics, so it does not inherit its parent's vectorization).
+    Every other policy (annealing, k-means, LPA, brute force, …) has no
+    vectorized form, and :func:`simulate_many` falls back to per-trial
+    scalar simulation for it.  The registry's declared ``vectorizable``
+    flag is the specification this dispatch is checked against.
     """
-    # Baselines import the core engine, so these imports must stay inside
-    # the function to keep core → baselines out of import time.
+    # Baselines and extensions import the core engine, so these imports
+    # must stay inside the function to keep core → baselines out of
+    # import time.
     from repro.baselines.percentile import PercentilePartitions
     from repro.baselines.random_assignment import RandomAssignment
     from repro.baselines.static import StaticPolicy
     from repro.core.dygroups import DyGroupsClique, DyGroupsStar
+    from repro.extensions.fairness import FairnessAwarePolicy, fair_star_rank_listing
 
     kind = type(policy)
     if kind is DyGroupsStar:
@@ -240,9 +251,9 @@ def vectorize_policy(policy: GroupingPolicy) -> "VectorizedPolicy | None":
     if kind is StaticPolicy:
         base = vectorize_policy(policy.base)  # type: ignore[attr-defined]
         return None if base is None else _VectorizedStatic(base)
-    from repro.registry import vectorizer_for
-
-    return vectorizer_for(policy)
+    if kind is FairnessAwarePolicy:
+        return _RankListingPolicy(policy.name, fair_star_rank_listing)
+    return None
 
 
 # -- the stacked-trial engine -------------------------------------------------
@@ -417,18 +428,18 @@ def simulate_many(
         rate: shorthand for ``gain=LinearGain(rate)``.
         seeds: per-trial RNG seeds (length ``R``); ``None`` draws OS
             entropy per trial, like scalar ``seed=None``.
-        engine: ``"auto"`` (vectorize when the policy and mode allow,
-            scalar fallback otherwise), ``"scalar"`` (force per-trial
-            simulation), or ``"vectorized"`` (raise if not vectorizable).
+        engine: ``"auto"`` (stack the trials when :func:`vectorize_policy`
+            yields a batched policy and the mode is Star or the gain is
+            linear — Clique's batched update is Theorem 3's closed form —
+            and fall back per trial otherwise) or ``"scalar"`` (force
+            per-trial simulation).  The result's ``engine`` field names
+            the path taken.
         record_history: keep the ``(R, α+1, n)`` skill trajectory.
         record_timings: fill per-round timings (also on whenever
             observability is configured).
 
     Raises:
-        ValueError: on inconsistent parameters, an unknown engine, or
-            ``engine="vectorized"`` for a policy/mode with no vectorized
-            path (non-vectorizable policy, or clique with a non-linear
-            gain function).
+        ValueError: on inconsistent parameters or an unknown engine.
     """
     matrix = as_skills_matrix(skills)
     trials, n = matrix.shape
@@ -447,8 +458,12 @@ def simulate_many(
 
     check_required_mode(policy, resolved_mode)
 
-    engine_name, vec = select_engine(policy, mode=resolved_mode, gain=gain_fn, engine=engine)
-    if engine_name == "scalar":
+    # The engine decision: stack the trials when the policy has a batched
+    # form and the mode's batched update exists — Star's for any
+    # elementwise gain, Clique's (Theorem 3's closed form) for linear
+    # gains only; otherwise run them one by one.
+    vec = None if engine == "scalar" else vectorize_policy(policy)
+    if vec is None or not (resolved_mode.name == "star" or gain_fn.is_linear):
         return _scalar_fallback(
             policy,
             matrix,
@@ -460,7 +475,6 @@ def simulate_many(
             record_history=record_history,
             record_timings=record_timings,
         )
-    assert vec is not None  # select_engine pairs a batched engine with a policy
 
     rngs = [np.random.default_rng(s) for s in seed_list]
     vec.reset()
@@ -492,7 +506,7 @@ def simulate_many(
             k=int(k),
             alpha=alpha,
             trials=trials,
-            engine=engine_name,
+            engine=ENGINE_NAME,
         )
 
     current = matrix
@@ -512,7 +526,7 @@ def simulate_many(
             policy=vec.name,
             total_gain=float(round_gains.sum()),
             trials=trials,
-            engine=engine_name,
+            engine=ENGINE_NAME,
         )
     round_seconds = None
     if batch_seconds is not None:
@@ -524,7 +538,7 @@ def simulate_many(
         mode_name=resolved_mode.name,
         k=int(k),
         alpha=alpha,
-        engine=engine_name,
+        engine=ENGINE_NAME,
         initial_skills=initial,
         final_skills=current,
         round_gains=round_gains,

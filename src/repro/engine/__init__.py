@@ -13,21 +13,18 @@ runner's fallbacks).  This package is the single implementation:
 * :mod:`repro.engine.stacked` — the batched counterpart: one
   ``(R, n)`` round step advancing a whole stack of trials with a
   handful of vectorized numpy calls, plus the batched Star/Clique
-  update kernels;
-* :func:`~repro.engine.select.select_engine` — the one place that
-  decides whether a ``(policy, mode, gain)`` combination runs the
-  scalar or the vectorized path.
+  update kernels.
 
 Drivers — :func:`repro.core.simulation.simulate`,
 :func:`repro.core.vectorized.simulate_many`, the serving layer
 (:mod:`repro.serve`), and the experiment runner — own looping, seeding,
-and recording; the kernels own the step.  Bit-identity across drivers
-is a hard design constraint, pinned by the hypothesis properties in
-``tests/properties``.
+and recording; the kernels own the step.  Which kernel a stack of
+trials runs on is decided in one place, :func:`simulate_many`.
+Bit-identity across drivers is a hard design constraint, pinned by the
+hypothesis properties in ``tests/properties``.
 """
 
 from repro.engine.kernel import RoundKernel, StepOutcome
-from repro.engine.select import select_engine
 from repro.engine.stacked import (
     StackedRoundKernel,
     update_clique_many,
@@ -38,7 +35,6 @@ __all__ = [
     "RoundKernel",
     "StackedRoundKernel",
     "StepOutcome",
-    "select_engine",
     "update_clique_many",
     "update_star_many",
 ]

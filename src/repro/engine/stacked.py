@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.vectorized import VectorizedPolicy
 
 __all__ = [
+    "ENGINE_NAME",
     "StackedRoundKernel",
     "StackedStepOutcome",
     "apply_update_many",
@@ -51,6 +52,10 @@ __all__ = [
     "update_clique_many",
     "update_star_many",
 ]
+
+#: The stacked engine's name on results and journal records (the
+#: per-trial path is ``"scalar"``); its metrics are labelled the same.
+ENGINE_NAME = "vectorized"
 
 
 def _check_members(skills: np.ndarray, members: np.ndarray, k: int) -> int:
@@ -266,7 +271,7 @@ class StackedRoundKernel:
         trials = current.shape[0]
         journal = self.journal
         if journal is not None:
-            journal.emit("round_start", round=round_index, trials=trials, engine="vectorized")
+            journal.emit("round_start", round=round_index, trials=trials, engine=ENGINE_NAME)
         with _trace.span(f"policy.propose_many:{self.policy_label}"):
             members = self.vec.propose_many(current, k, rngs)
         if members.shape != current.shape:
@@ -299,7 +304,7 @@ class StackedRoundKernel:
                 round=round_index,
                 gain=float(gains.sum()),
                 trials=trials,
-                engine="vectorized",
+                engine=ENGINE_NAME,
             )
         return StackedStepOutcome(members=members, updated=updated, gains=gains, seconds=seconds)
 

@@ -20,13 +20,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.baselines.registry import make_policy
-from repro.core.simulation import simulate
+from repro.core.vectorized import BatchSimulationResult, simulate_many
 from repro.experiments.runner import draw_skills
 from repro.experiments.spec import DEFAULT_ALGORITHMS, ExperimentSpec
 from repro.experiments.sweep import sweep
 from repro.metrics.inequality import coefficient_of_variation, gini
 from repro.metrics.series import Series, SeriesSet
+from repro.registry import build_policy
 
 __all__ = [
     "fig05a",
@@ -153,27 +153,50 @@ def fig09b(full: bool = False, runs: int | None = None) -> SeriesSet:
 # --------------------------------------------------------------------------
 
 
+def _simulate_runs(
+    algorithm: str,
+    mode: str,
+    spec: ExperimentSpec,
+    runs: int,
+    *,
+    alpha: int,
+    record_history: bool = False,
+) -> BatchSimulationResult:
+    """Runs ``0 … runs−1`` of ``spec`` under ``algorithm``, one row each.
+
+    One :func:`~repro.core.vectorized.simulate_many` call over the
+    stacked :func:`draw_skills` rows; run ``i`` is seeded ``spec.seed + i``
+    exactly as :func:`~repro.experiments.runner.run_spec` seeds it.
+    """
+    return simulate_many(
+        build_policy(algorithm, mode=mode, rate=spec.rate),
+        np.stack([draw_skills(spec, i) for i in range(runs)]),
+        k=spec.k,
+        alpha=alpha,
+        mode=mode,
+        rate=spec.rate,
+        seeds=[spec.seed + i for i in range(runs)],
+        record_history=record_history,
+    )
+
+
 def _ratio_over_random(
     x_values: Sequence[float],
-    run_one: Callable[[str, str, float, int], float],
-    runs: int,
+    run_many: Callable[[str, str, float], np.ndarray],
     *,
     title: str,
     x_label: str,
 ) -> SeriesSet:
     """Build DyGroups/Random ratio series, one per interaction mode.
 
-    ``run_one(algorithm, mode, x, run_index)`` returns a total gain.
+    ``run_many(algorithm, mode, x)`` returns the per-run total gains; a
+    point is the mean of the per-run DyGroups/Random ratios.
     """
     series = []
     for mode, algo in (("star", "dygroups-star"), ("clique", "dygroups-clique")):
         ratios = []
         for x in x_values:
-            per_run = []
-            for run_index in range(runs):
-                dygroups_gain = run_one(algo, mode, x, run_index)
-                random_gain = run_one("random", mode, x, run_index)
-                per_run.append(dygroups_gain / random_gain)
+            per_run = run_many(algo, mode, x) / run_many("random", mode, x)
             ratios.append(float(np.mean(per_run)))
         series.append(
             Series(label=f"{algo}/random", x=tuple(float(v) for v in x_values), y=tuple(ratios))
@@ -194,25 +217,12 @@ def fig10a(full: bool = False, runs: int | None = None) -> SeriesSet:
     effective_runs = runs if runs is not None else (10 if full else 3)
     spec = ExperimentSpec(n=n, k=50, rate=0.5, algorithms=("random",), runs=1)
 
-    def run_one(algorithm: str, mode: str, alpha: float, run_index: int) -> float:
-        skills = draw_skills(spec, run_index)
-        policy = make_policy(algorithm, mode=mode, rate=spec.rate)
-        result = simulate(
-            policy,
-            skills,
-            k=spec.k,
-            alpha=int(alpha),
-            mode=mode,
-            rate=spec.rate,
-            seed=spec.seed + run_index,
-            record_groupings=False,
-        )
-        return result.total_gain
+    def run_many(algorithm: str, mode: str, alpha: float) -> np.ndarray:
+        return _simulate_runs(algorithm, mode, spec, effective_runs, alpha=int(alpha)).total_gains
 
     return _ratio_over_random(
         (2, 4, 8, 16, 32, 64),
-        run_one,
-        effective_runs,
+        run_many,
         title=f"Fig 10(a): DyGroups/Random gain ratio vs alpha (n={n})",
         x_label="alpha",
     )
@@ -232,26 +242,13 @@ def fig10b(full: bool = False, runs: int | None = None) -> SeriesSet:
     effective_runs = runs if runs is not None else (10 if full else 3)
     spec = ExperimentSpec(n=10, k=5, rate=0.5, algorithms=("random",), runs=1)
 
-    def run_one(algorithm: str, mode: str, n: float, run_index: int) -> float:
+    def run_many(algorithm: str, mode: str, n: float) -> np.ndarray:
         local = spec.with_(n=int(n))
-        skills = draw_skills(local, run_index)
-        policy = make_policy(algorithm, mode=mode, rate=local.rate)
-        result = simulate(
-            policy,
-            skills,
-            k=local.k,
-            alpha=10,
-            mode=mode,
-            rate=local.rate,
-            seed=local.seed + run_index,
-            record_groupings=False,
-        )
-        return result.total_gain
+        return _simulate_runs(algorithm, mode, local, effective_runs, alpha=10).total_gains
 
     return _ratio_over_random(
         n_values,
-        run_one,
-        effective_runs,
+        run_many,
         title="Fig 10(b): DyGroups/Random gain ratio vs n (alpha=10)",
         x_label="n",
     )
@@ -283,24 +280,14 @@ def fig11(full: bool = False, runs: int | None = None) -> tuple[SeriesSet, Serie
         for algo in ("dygroups-star", "random")
         for metric in ("cv", "gini")
     }
-    for run_index in range(effective_runs):
-        skills = draw_skills(spec, run_index)
-        for algo in ("dygroups-star", "random"):
-            policy = make_policy(algo, mode="star", rate=spec.rate)
-            result = simulate(
-                policy,
-                skills,
-                k=spec.k,
-                alpha=max_alpha,
-                mode="star",
-                rate=spec.rate,
-                seed=spec.seed + run_index,
-                record_groupings=False,
-                record_history=True,
-            )
-            assert result.skill_history is not None
+    for algo in ("dygroups-star", "random"):
+        batch = _simulate_runs(
+            algo, "star", spec, effective_runs, alpha=max_alpha, record_history=True
+        )
+        assert batch.skill_history is not None
+        for history in batch.skill_history:
             for ci, alpha in enumerate(checkpoints):
-                snapshot = result.skill_history[alpha]
+                snapshot = history[alpha]
                 metric_values[(algo, "cv")][ci].append(coefficient_of_variation(snapshot))
                 metric_values[(algo, "gini")][ci].append(gini(snapshot))
 

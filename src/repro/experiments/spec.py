@@ -22,8 +22,8 @@ from repro._validation import (
     require_positive_int,
 )
 from repro.core.interactions import get_mode
+from repro.core.vectorized import ENGINES
 from repro.data.distributions import DISTRIBUTIONS
-from repro.engine.select import ENGINES
 from repro.registry import PolicySpec
 
 __all__ = ["ExperimentSpec", "DEFAULT_ALGORITHMS"]
@@ -49,16 +49,15 @@ class ExperimentSpec:
             (see :mod:`repro.registry`); extension policies included.
         runs: independent repetitions to average over.
         seed: base seed; run ``i`` uses ``seed + i``.
-        lpa_max_evals: optional evaluation budget for the search-based
-            baselines (legacy knob; filled into ``lpa``/``annealing``
-            entries that do not set ``max_evals``/``steps`` inline —
-            prefer the spec-param form).
+        lpa_max_evals: optional positive evaluation budget for the
+            search-based baselines (filled into ``lpa``/``annealing``
+            entries that do not set ``max_evals``/``steps`` inline, so
+            their series keep the plain ``lpa`` label).
         engine: simulation engine selection — ``"auto"`` stacks the
             spec's runs through :func:`repro.core.simulate_many` for
             vectorizable algorithms and falls back per run otherwise,
-            ``"scalar"`` forces the per-run loop, ``"vectorized"``
-            additionally *requires* every algorithm to vectorize.
-            Results are bit-identical across engines.
+            ``"scalar"`` forces the per-run loop.  Results are
+            bit-identical across engines.
         workers: process-parallel worker count, used when the call
             (``run_spec``, ``sweep_outcomes``, ``run_grid``) passes none;
             ``0`` and ``1`` mean serial.  Results are bit-identical to
@@ -83,6 +82,8 @@ class ExperimentSpec:
         require_positive_int(self.alpha, name="alpha")
         require_learning_rate(self.rate, name="rate")
         require_positive_int(self.runs, name="runs")
+        if self.lpa_max_evals is not None:
+            require_positive_int(self.lpa_max_evals, name="lpa_max_evals")
         get_mode(self.mode)
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")

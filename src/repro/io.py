@@ -145,8 +145,9 @@ def experiment_spec_from_dict(payload: dict[str, Any]) -> ExperimentSpec:
 
     Also reads the old on-disk form: plain algorithm names (no spec
     params), an always-present, possibly ``null`` ``lpa_max_evals`` key,
-    and the partition-count key of a removed engine path, which is
-    dropped: that path's results were bit-identical to the vectorized
+    the partition-count key of a removed engine path, which is dropped,
+    and the removed ``"vectorized"`` engine value, which loads as
+    ``"auto"``: both gave results bit-identical to the ``"auto"``
     engine's.  Missing keys fall back to the spec defaults.
 
     Raises:
@@ -156,6 +157,8 @@ def experiment_spec_from_dict(payload: dict[str, Any]) -> ExperimentSpec:
     fields = dict(payload)
     fields.pop("format", None)
     fields.pop("shards", None)
+    if fields.get("engine") == "vectorized":
+        fields["engine"] = "auto"
     if "algorithms" in fields:
         fields["algorithms"] = tuple(fields["algorithms"])
     known = {

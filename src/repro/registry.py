@@ -5,18 +5,16 @@ paper's baselines, and the Section VII extensions — to a typed
 description the whole harness shares:
 
 * a canonical :class:`PolicySpec` (``name`` + typed params, rendered as
-  ``"name:key=value;key=value"``) replaces ad-hoc kwarg threading in
-  :func:`repro.baselines.registry.make_policy`, the CLI,
-  :class:`~repro.experiments.spec.ExperimentSpec`, and the serving
-  layer;
+  ``"name:key=value;key=value"``) is how the CLI,
+  :class:`~repro.experiments.spec.ExperimentSpec`, scenario specs and
+  the serving layer name a policy, and :func:`build_policy` is the one
+  way such a name becomes a policy instance;
 * declared **capabilities** (``vectorizable``, ``stateful``,
-  ``objective_aware``, ``extension``) let drivers route without
-  isinstance checks — :func:`repro.engine.select.select_engine` decides
-  scalar vs vectorized, the conformance suite enumerates what must be
-  bit-identical, and ``dygroups list`` prints the matrix;
-* per-name **vectorizer** hooks extend
-  :func:`repro.core.vectorized.vectorize_policy` to extension policies
-  without the core dispatch importing the extensions package.
+  ``objective_aware``, ``extension``) describe each policy: the
+  conformance suite checks ``vectorizable`` against
+  :func:`repro.core.vectorized.vectorize_policy`'s dispatch and
+  enumerates what must be bit-identical, and ``dygroups list`` prints
+  the matrix.
 
 Typical entry points: :func:`build_policy` (spec string or
 :class:`PolicySpec` → fresh policy instance), :func:`get_policy`
@@ -25,8 +23,8 @@ Typical entry points: :func:`build_policy` (spec string or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from repro.baselines.annealing import AnnealingGrouping
 from repro.baselines.kmeans import KMeansGrouping
@@ -38,10 +36,7 @@ from repro.baselines.static import StaticPolicy
 from repro.core.dygroups import DyGroupsClique, DyGroupsStar, dygroups_policy
 from repro.core.simulation import GroupingPolicy
 from repro.extensions.affinity import AffinityAwarePolicy
-from repro.extensions.fairness import FairnessAwarePolicy, fair_star_rank_listing
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.vectorized import VectorizedPolicy
+from repro.extensions.fairness import FairnessAwarePolicy
 
 __all__ = [
     "CAPABILITIES",
@@ -55,7 +50,6 @@ __all__ = [
     "policy_names",
     "registered_policy_types",
     "unregistered_policy_exemptions",
-    "vectorizer_for",
 ]
 
 #: The capability flags a policy can declare, in display order.
@@ -139,10 +133,6 @@ class RegisteredPolicy:
         objective_aware: scores candidate groupings internally and
             declares a ``required_mode``.
         extension: a Section VII extension rather than a paper algorithm.
-        vectorizer: optional hook returning the policy's
-            :class:`~repro.core.vectorized.VectorizedPolicy` (used by
-            :func:`repro.core.vectorized.vectorize_policy` for policies
-            the core dispatch does not know).
     """
 
     name: str
@@ -154,9 +144,6 @@ class RegisteredPolicy:
     stateful: bool = False
     objective_aware: bool = False
     extension: bool = False
-    vectorizer: "Callable[[GroupingPolicy], VectorizedPolicy] | None" = field(
-        default=None, repr=False
-    )
 
     @property
     def capabilities(self) -> tuple[str, ...]:
@@ -278,13 +265,6 @@ def _register(entry: RegisteredPolicy) -> None:
     _REGISTRY[entry.name] = entry
 
 
-def _fair_star_vectorizer(policy: GroupingPolicy) -> "VectorizedPolicy":
-    # Local import: core.vectorized is a heavier module than this table.
-    from repro.core.vectorized import _RankListingPolicy
-
-    return _RankListingPolicy(policy.name, fair_star_rank_listing)
-
-
 def _register_all() -> None:
     _register(RegisteredPolicy(
         name="dygroups",
@@ -389,7 +369,6 @@ def _register_all() -> None:
         factory=lambda mode, rate, params: FairnessAwarePolicy(),
         vectorizable=True,
         extension=True,
-        vectorizer=_fair_star_vectorizer,
     ))
     _register(RegisteredPolicy(
         name="affinity-aware",
@@ -485,20 +464,6 @@ def registered_policy_types() -> frozenset:
 def unregistered_policy_exemptions() -> "dict[str, str]":
     """Class-name → reason map of deliberately unregistered policies."""
     return dict(UNREGISTERED_EXEMPT)
-
-
-def vectorizer_for(policy: GroupingPolicy) -> "VectorizedPolicy | None":
-    """A registry-declared vectorizer for ``policy``'s exact type, if any.
-
-    The extension hook behind
-    :func:`repro.core.vectorized.vectorize_policy`: core types dispatch
-    there directly; registered policies with a ``vectorizer`` hook (the
-    extensions) resolve here.
-    """
-    for info in _REGISTRY.values():
-        if info.vectorizer is not None and type(policy) in info.builds:
-            return info.vectorizer(policy)
-    return None
 
 
 def capability_matrix() -> "list[tuple[str, tuple[str, ...], tuple[str, ...]]]":

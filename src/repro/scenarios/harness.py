@@ -52,7 +52,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -198,10 +198,52 @@ class ScenarioComparison:
 
 
 def _serve_config(spec: ScenarioSpec) -> ServeConfig:
+    """The scenario's serve config: its ``serve`` overrides and SLO block.
+
+    An ``individual`` scenario also gets one matchmaking spec shaped like
+    the population, quota-bound to its cohort count.
+    """
     overrides = dict(spec.serve) if spec.serve is not None else {}
     if spec.slo is not None and "slo" not in overrides:
         overrides["slo"] = spec.slo.to_dict()
+    if spec.arrival.kind == "individual":
+        population = spec.population
+        overrides.setdefault(
+            "matchmaking",
+            {
+                "specs": [
+                    {
+                        "n": population.n,
+                        "k": population.k,
+                        "policy": spec.policy,
+                        "mode": population.mode,
+                        "rate": population.rate,
+                        "seed": spec.seed,
+                        "max_cohorts": population.cohorts,
+                    }
+                ]
+            },
+        )
     return ServeConfig(**overrides)
+
+
+def _run_served(
+    spec: ScenarioSpec, paradigm: str, body: Callable[[ScenarioSpec, Any, str], ParadigmRun]
+) -> ParadigmRun:
+    """Run ``body(spec, client, paradigm)`` against a fresh service.
+
+    ``inprocess`` hands the body an in-process client; ``http`` first
+    serves the service on an ephemeral port.  The service closes on
+    every path, a failed bind included.
+    """
+    with GroupingService(_serve_config(spec)) as service:
+        if paradigm == "inprocess":
+            return body(spec, InProcessClient(service), paradigm)
+        server = start_server(service, port=0)
+        try:
+            return body(spec, HttpClient(server.url), paradigm)
+        finally:
+            server.close()
 
 
 def _run_service_paradigm(spec: ScenarioSpec, client: Any, paradigm: str) -> ParadigmRun:
@@ -238,53 +280,6 @@ def _run_service_paradigm(spec: ScenarioSpec, client: Any, paradigm: str) -> Par
         load=load,
         snapshot=_obs.metrics_registry().snapshot(),
     )
-
-
-def _run_inprocess(spec: ScenarioSpec) -> ParadigmRun:
-    service = GroupingService(_serve_config(spec))
-    try:
-        return _run_service_paradigm(spec, InProcessClient(service), "inprocess")
-    finally:
-        service.close()
-
-
-def _run_http(spec: ScenarioSpec) -> ParadigmRun:
-    service = GroupingService(_serve_config(spec))
-    try:
-        server = start_server(service, port=0)
-    except OSError:
-        service.close()
-        raise
-    try:
-        return _run_service_paradigm(spec, HttpClient(server.url), "http")
-    finally:
-        server.close()
-
-
-def _matchmaking_serve_config(spec: ScenarioSpec) -> ServeConfig:
-    """The serve config of an ``individual`` scenario: one matchmaking
-    spec shaped like the population, quota-bound to its cohort count."""
-    overrides = dict(spec.serve) if spec.serve is not None else {}
-    if spec.slo is not None and "slo" not in overrides:
-        overrides["slo"] = spec.slo.to_dict()
-    population = spec.population
-    overrides.setdefault(
-        "matchmaking",
-        {
-            "specs": [
-                {
-                    "n": population.n,
-                    "k": population.k,
-                    "policy": spec.policy,
-                    "mode": population.mode,
-                    "rate": population.rate,
-                    "seed": spec.seed,
-                    "max_cohorts": population.cohorts,
-                }
-            ]
-        },
-    )
-    return ServeConfig(**overrides)
 
 
 def _individual_skill_stream(spec: ScenarioSpec) -> np.ndarray:
@@ -390,27 +385,6 @@ def _run_individual_paradigm(spec: ScenarioSpec, client: Any, paradigm: str) -> 
     )
 
 
-def _run_individual_inprocess(spec: ScenarioSpec) -> ParadigmRun:
-    service = GroupingService(_matchmaking_serve_config(spec))
-    try:
-        return _run_individual_paradigm(spec, InProcessClient(service), "inprocess")
-    finally:
-        service.close()
-
-
-def _run_individual_http(spec: ScenarioSpec) -> ParadigmRun:
-    service = GroupingService(_matchmaking_serve_config(spec))
-    try:
-        server = start_server(service, port=0)
-    except OSError:
-        service.close()
-        raise
-    try:
-        return _run_individual_paradigm(spec, HttpClient(server.url), "http")
-    finally:
-        server.close()
-
-
 def _cli_environment() -> dict[str, str]:
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[2])
@@ -485,23 +459,19 @@ def _run_cli(spec: ScenarioSpec, *, timeout: float = 300.0) -> ParadigmRun:
 
 def run_paradigm(spec: ScenarioSpec, paradigm: str) -> ParadigmRun:
     """Execute ``spec`` through one paradigm on a freshly reset registry."""
-    runners = {"inprocess": _run_inprocess, "http": _run_http, "cli": _run_cli}
-    if paradigm not in runners:
+    if paradigm not in PARADIGMS:
         raise ValueError(f"unknown paradigm {paradigm!r}; expected one of {PARADIGMS}")
-    if spec.arrival.kind == "individual":
-        individual_runners = {
-            "inprocess": _run_individual_inprocess,
-            "http": _run_individual_http,
-        }
-        if paradigm not in individual_runners:
-            raise ValueError(
-                f"paradigm {paradigm!r} does not support individual arrivals; "
-                f"expected one of {tuple(individual_runners)} "
-                "(the cli paradigm has no matchmaking queue to join)"
-            )
-        runners = dict(individual_runners)
+    individual = spec.arrival.kind == "individual"
+    if individual and paradigm == "cli":
+        raise ValueError(
+            "paradigm 'cli' does not support individual arrivals; expected one of "
+            "('inprocess', 'http') (the cli paradigm has no matchmaking queue to join)"
+        )
     _obs.metrics_registry().reset()
-    return runners[paradigm](spec)
+    if paradigm == "cli":
+        return _run_cli(spec)
+    body = _run_individual_paradigm if individual else _run_service_paradigm
+    return _run_served(spec, paradigm, body)
 
 
 def _assert_identical(runs: Sequence[ParadigmRun]) -> int:

@@ -9,7 +9,7 @@ from repro.amt.experiment import AmtConfig, run_population
 from repro.amt.population import Population
 from repro.amt.retention import RetentionModel
 from repro.amt.worker import Worker
-from repro.baselines.registry import make_policy
+from repro.registry import build_policy
 
 
 def _population(n: int, name: str = "dygroups", seed: int = 0) -> Population:
@@ -23,7 +23,7 @@ class TestRunPopulation:
         config = AmtConfig(population_size=16, k=4, alpha=2)
         population = _population(16)
         trace = run_population(
-            population, make_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
+            population, build_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
         )
         assert len(trace.mean_scores) == 3
         assert len(trace.round_gains) == 2
@@ -34,7 +34,7 @@ class TestRunPopulation:
         population = _population(16)
         before = population.latent_skills()
         run_population(
-            population, make_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
+            population, build_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
         )
         after = population.latent_skills()
         assert np.all(after >= before - 1e-12)
@@ -43,7 +43,7 @@ class TestRunPopulation:
         config = AmtConfig(population_size=16, k=4, alpha=5)
         population = _population(16)
         run_population(
-            population, make_policy("random", mode=config.mode), config, np.random.default_rng(0)
+            population, build_policy("random", mode=config.mode), config, np.random.default_rng(0)
         )
         latents = population.latent_skills()
         assert np.all((latents > 0) & (latents <= 1.0))
@@ -59,7 +59,7 @@ class TestRunPopulation:
         )
         population = _population(16)
         trace = run_population(
-            population, make_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
+            population, build_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
         )
         assert trace.retention[1] == 0.0
         assert trace.round_gains[1] == 0.0
@@ -74,7 +74,7 @@ class TestRunPopulation:
         )
         population = _population(16)
         trace = run_population(
-            population, make_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
+            population, build_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
         )
         assert trace.retention == [1.0, 1.0, 1.0, 1.0]
 
@@ -82,7 +82,7 @@ class TestRunPopulation:
         config = AmtConfig(population_size=16, k=4, alpha=2)
         population = _population(16)
         trace = run_population(
-            population, make_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
+            population, build_policy("dygroups", mode=config.mode), config, np.random.default_rng(0)
         )
         worker_total = sum(sum(w.round_gains) for w in population.workers)
         assert worker_total == pytest.approx(trace.total_gain, rel=1e-9)

@@ -73,10 +73,10 @@ class TestAnnealingGrouping:
             AnnealingGrouping("star", 0.5, cooling=1.0)
 
     def test_registered(self, rng):
-        from repro.baselines.registry import make_policy
+        from repro.registry import build_policy
 
         skills = random_positive_skills(12, rng)
-        policy = make_policy("annealing", mode="star", rate=0.5, lpa_max_evals=100)
+        policy = build_policy("annealing:steps=100", mode="star", rate=0.5)
         result = simulate(policy, skills, k=3, alpha=2, mode="star", rate=0.5, seed=0)
         assert result.total_gain > 0
 

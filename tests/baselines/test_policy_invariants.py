@@ -5,17 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.registry import POLICY_NAMES, make_policy
 from repro.core.simulation import simulate
+from repro.registry import build_policy, policy_names
 
 from tests.conftest import random_positive_skills
+
+#: The paper's evaluation line-up (the registry without its extensions).
+POLICY_NAMES = policy_names(include_extensions=False)
 
 #: (n, k) shapes covering square, wide, and minimal group sizes.
 SHAPES = [(12, 3), (12, 6), (20, 2), (18, 9)]
 
+#: Inline search budgets that keep the search-based policies quick.
+BUDGETS = {"lpa": "lpa:max_evals=80", "annealing": "annealing:steps=80"}
+
 
 def _policy(name: str, mode: str = "star"):
-    return make_policy(name, mode=mode, rate=0.5, lpa_max_evals=80)
+    return build_policy(BUDGETS.get(name, name), mode=mode, rate=0.5)
 
 
 class TestEveryPolicy:

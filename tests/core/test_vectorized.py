@@ -181,7 +181,7 @@ class TestSimulateMany:
         return np.random.default_rng(seed).uniform(1.0, 50.0, size=(trials, n))
 
     def test_engines_tuple(self):
-        assert ENGINES == ("auto", "scalar", "vectorized")
+        assert ENGINES == ("auto", "scalar")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -209,20 +209,6 @@ class TestSimulateMany:
             gain=SqrtGain(0.4),
         )
         assert batch.engine == "scalar"
-
-    def test_strict_vectorized_raises_for_unvectorizable_policy(self):
-        with pytest.raises(ValueError, match="no vectorized form"):
-            simulate_many(
-                KMeansGrouping(), self._skills(), k=3, alpha=2, mode="star", rate=0.5,
-                engine="vectorized",
-            )
-
-    def test_strict_vectorized_raises_for_nonlinear_clique(self):
-        with pytest.raises(ValueError, match="linear gain"):
-            simulate_many(
-                DyGroupsClique(), self._skills(), k=3, alpha=2, mode="clique",
-                gain=SqrtGain(0.4), engine="vectorized",
-            )
 
     def test_forced_scalar_engine(self):
         batch = simulate_many(

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.simulation import simulate
 from repro.experiments.figures import FIGURES, base_spec, fig10a, fig11
+from repro.experiments.runner import draw_skills
+from repro.experiments.spec import ExperimentSpec
 from repro.metrics.series import SeriesSet
+from repro.registry import build_policy
 
 
 class TestFigureRegistry:
@@ -56,6 +61,39 @@ class TestFigureShapes:
         # DyGroups should not lose to random on average.
         for series in result.series:
             assert all(v > 0.9 for v in series.y)
+
+    def test_fig10a_equals_per_run_simulate(self):
+        """Each point is the mean DyGroups/Random ratio of scalar per-run totals."""
+        result = fig10a(runs=2)
+        spec = ExperimentSpec(n=1_000, k=50, rate=0.5, algorithms=("random",), runs=1)
+
+        def total(algorithm: str, mode: str, alpha: int, run: int) -> float:
+            return simulate(
+                build_policy(algorithm, mode=mode, rate=spec.rate),
+                draw_skills(spec, run),
+                k=spec.k,
+                alpha=alpha,
+                mode=mode,
+                rate=spec.rate,
+                seed=spec.seed + run,
+                record_groupings=False,
+            ).total_gain
+
+        for mode in ("star", "clique"):
+            label = f"dygroups-{mode}/random"
+            expected = tuple(
+                float(
+                    np.mean(
+                        [
+                            total(f"dygroups-{mode}", mode, alpha, run)
+                            / total("random", mode, alpha, run)
+                            for run in range(2)
+                        ]
+                    )
+                )
+                for alpha in (2, 4, 8, 16, 32, 64)
+            )
+            assert result.get(label).y == expected
 
     @pytest.mark.slow
     def test_fig11_returns_two_sets(self):

@@ -93,8 +93,8 @@ class TestSpecKnobs:
             ExperimentSpec(workers=-1)
 
     def test_spec_accepts_knobs(self):
-        spec = ExperimentSpec(engine="vectorized", workers=4)
-        assert spec.engine == "vectorized"
+        spec = ExperimentSpec(engine="scalar", workers=4)
+        assert spec.engine == "scalar"
         assert spec.workers == 4
 
 

@@ -50,6 +50,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="has no parameter 'q'"):
             ExperimentSpec(algorithms=("percentile:q=0.9",))
 
+    @pytest.mark.parametrize("value", [-5, 0, True, "abc", 2.5])
+    def test_rejects_bad_lpa_max_evals(self, value):
+        with pytest.raises((TypeError, ValueError), match="lpa_max_evals"):
+            ExperimentSpec(n=20, k=2, runs=1, algorithms=("dygroups",), lpa_max_evals=value)
+
+    @pytest.mark.parametrize("value", [None, 1, 10_000])
+    def test_accepts_lpa_max_evals(self, value):
+        spec = ExperimentSpec(n=20, k=2, runs=1, algorithms=("lpa",), lpa_max_evals=value)
+        assert spec.lpa_max_evals == value
+
     def test_rejects_empty_algorithms(self):
         with pytest.raises(ValueError):
             ExperimentSpec(algorithms=())

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.amt.retention import RetentionModel
-from repro.baselines.registry import make_policy
 from repro.core.dygroups import DyGroupsStar
 from repro.extensions.retention_feedback import simulate_with_retention
+from repro.registry import build_policy
 
 from tests.conftest import random_positive_skills
 
@@ -72,7 +72,7 @@ class TestSimulateWithRetention:
 
     def test_required_mode_enforced(self, rng):
         skills = random_positive_skills(24, rng)
-        lpa = make_policy("lpa", mode="clique", rate=0.5, lpa_max_evals=10)
+        lpa = build_policy("lpa:max_evals=10", mode="clique", rate=0.5)
         with pytest.raises(ValueError, match="optimizes for mode"):
             simulate_with_retention(lpa, skills, k=4, alpha=2, rate=0.5, mode="star", seed=0)
 
@@ -109,7 +109,7 @@ class TestSimulateWithRetention:
         rnd = np.mean(
             [
                 simulate_with_retention(
-                    make_policy("random"), skills, k=4, alpha=4, rate=0.5, seed=s
+                    build_policy("random"), skills, k=4, alpha=4, rate=0.5, seed=s
                 ).total_gain
                 for s in range(6)
             ]

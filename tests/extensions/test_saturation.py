@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.registry import make_policy
 from repro.core.dygroups import DyGroupsStar
 from repro.extensions.saturation import rounds_to_saturation_bound, simulate_full_rate
+from repro.registry import build_policy
 
 
 class TestSaturationBound:
@@ -44,7 +44,7 @@ class TestSimulateFullRate:
 
     def test_counts_monotone(self, rng):
         skills = rng.uniform(0.1, 1.0, size=27)
-        result = simulate_full_rate(make_policy("random"), skills, k=3, seed=0)
+        result = simulate_full_rate(build_policy("random"), skills, k=3, seed=0)
         counts = result.max_holder_counts
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
@@ -52,7 +52,7 @@ class TestSimulateFullRate:
         skills = rng.uniform(0.1, 1.0, size=64)
         dy = simulate_full_rate(DyGroupsStar(), skills, k=8, seed=0)
         rnd_rounds = [
-            simulate_full_rate(make_policy("random"), skills, k=8, seed=s).rounds_to_saturation
+            simulate_full_rate(build_policy("random"), skills, k=8, seed=s).rounds_to_saturation
             for s in range(5)
         ]
         assert dy.rounds_to_saturation <= float(np.mean(rnd_rounds)) + 1e-9

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import claims, dygroups, make_policy, simulate
+from repro import build_policy, claims, dygroups, simulate
 from repro.data.scenarios import classroom, expert_panel, power_law_platform
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
@@ -26,7 +26,7 @@ class TestScenarioPipelines:
         skills = classroom(120, seed=1)
         gains = {}
         for name in ("dygroups", "random", "percentile", "kmeans"):
-            policy = make_policy(name, mode="star", rate=0.5)
+            policy = build_policy(name, mode="star", rate=0.5)
             gains[name] = simulate(
                 policy, skills, k=24, alpha=4, mode="star", rate=0.5, seed=0
             ).total_gain

@@ -9,13 +9,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.registry import make_policy
 from repro.core.dygroups import dygroups
 from repro.core.simulation import simulate
 from repro.data.distributions import lognormal_skills, zipf_skills
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.metrics.inequality import coefficient_of_variation, gini
+from repro.registry import build_policy
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ class TestFigure10Shape:
     def test_ratio_above_one_small_alpha(self, mode):
         skills = lognormal_skills(1000, seed=5)
         dy = dygroups(skills, k=5, alpha=4, rate=0.5, mode=mode)
-        random_policy = make_policy("random")
+        random_policy = build_policy("random")
         random_gains = [
             simulate(
                 random_policy, skills, k=5, alpha=4, mode=mode, rate=0.5, seed=seed
@@ -105,7 +105,7 @@ class TestFigure10Shape:
         for mode in ("star", "clique"):
             dy = dygroups(skills, k=5, alpha=6, rate=0.5, mode=mode)
             rnd = simulate(
-                make_policy("random"), skills, k=5, alpha=6, mode=mode, rate=0.5, seed=0
+                build_policy("random"), skills, k=5, alpha=6, mode=mode, rate=0.5, seed=0
             )
             ratios[mode] = dy.total_gain / rnd.total_gain
         assert ratios["star"] == pytest.approx(ratios["clique"], rel=0.25)
@@ -119,7 +119,7 @@ class TestFairnessShape:
         skills = lognormal_skills(1000, seed=7)
         dy = dygroups(skills, k=5, alpha=32, rate=0.1, record_history=True)
         rnd = simulate(
-            make_policy("random"),
+            build_policy("random"),
             skills,
             k=5,
             alpha=32,

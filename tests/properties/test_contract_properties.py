@@ -66,7 +66,7 @@ def test_contracts_hold_on_real_simulations(policy_cls, mode, instance):
         )
         batch = simulate_many(
             policy_cls(), rows, k=k, alpha=3, mode=mode, rate=rate,
-            seeds=[seed] * 3, engine="vectorized",
+            seeds=[seed] * 3,
         )
     assert batch.engine == "vectorized"
     assert np.all(result.round_gains >= 0.0)

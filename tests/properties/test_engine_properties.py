@@ -61,8 +61,9 @@ def test_every_vectorizable_policy_is_engine_invariant(instance):
         batch = simulate_many(
             build_policy(name, mode=mode, rate=rate),
             skills[np.newaxis, :], k=k, alpha=3, mode=mode, rate=rate,
-            seeds=[seed], engine="vectorized",
+            seeds=[seed],
         )
+        assert batch.engine == "vectorized"
         assert np.array_equal(batch.final_skills[0], scalar.final_skills)
         assert np.array_equal(batch.round_gains[0], scalar.round_gains)
         with GroupingService(ServeConfig(cache_size=16)) as svc:

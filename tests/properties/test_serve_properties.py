@@ -16,9 +16,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.registry import make_policy
 from repro.core.local import dygroups_clique_local, dygroups_star_local
 from repro.core.simulation import simulate
+from repro.registry import build_policy
 from repro.serve.cache import GroupingCache
 from repro.serve.config import ServeConfig
 from repro.serve.service import GroupingService
@@ -105,7 +105,7 @@ def test_served_trajectories_equal_offline_simulate(instance):
             service.advance_rounds(cohort, 1)
         final = np.array(service.get_cohort(cohort)["skills"])
     reference = simulate(
-        make_policy("dygroups", mode=mode, rate=0.5),
+        build_policy("dygroups", mode=mode, rate=0.5),
         skills, k=k, alpha=alpha, mode=mode, rate=0.5, seed=seed,
     )
     assert np.array_equal(final, reference.final_skills)
@@ -119,7 +119,7 @@ def test_served_trajectories_agree_with_memo_on_and_off(instance):
     skills, k, mode, seed, alpha = instance
     payload = {"skills": skills.tolist(), "k": k, "mode": mode, "seed": seed}
     reference = simulate(
-        make_policy("dygroups", mode=mode, rate=0.5),
+        build_policy("dygroups", mode=mode, rate=0.5),
         skills, k=k, alpha=alpha, mode=mode, rate=0.5, seed=seed,
     )
     for cache_size in (16, 0):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.registry import make_policy
 from repro.core.dygroups import dygroups
 from repro.core.objective import b_objective
 from repro.core.simulation import simulate
+from repro.registry import build_policy
 
 
 @st.composite
@@ -71,7 +71,7 @@ def test_dygroups_at_least_baseline_single_round(config, baseline_name):
     """Round-local optimality: one round of DyGroups beats any baseline's round."""
     skills, k, _, rate, mode = config
     dy = dygroups(skills, k=k, alpha=1, rate=rate, mode=mode)
-    policy = make_policy(baseline_name, mode=mode, rate=rate)
+    policy = build_policy(baseline_name, mode=mode, rate=rate)
     other = simulate(policy, skills, k=k, alpha=1, mode=mode, rate=rate, seed=0)
     assert dy.total_gain >= other.total_gain - 1e-9
 
@@ -80,8 +80,8 @@ def test_dygroups_at_least_baseline_single_round(config, baseline_name):
 @settings(max_examples=40, deadline=None)
 def test_seeded_simulations_reproducible(config):
     skills, k, alpha, rate, mode = config
-    policy_a = make_policy("random", mode=mode, rate=rate)
-    policy_b = make_policy("random", mode=mode, rate=rate)
+    policy_a = build_policy("random", mode=mode, rate=rate)
+    policy_b = build_policy("random", mode=mode, rate=rate)
     a = simulate(policy_a, skills, k=k, alpha=alpha, mode=mode, rate=rate, seed=9)
     b = simulate(policy_b, skills, k=k, alpha=alpha, mode=mode, rate=rate, seed=9)
     np.testing.assert_array_equal(a.final_skills, b.final_skills)

@@ -85,7 +85,7 @@ def test_simulate_many_rows_bit_identical_to_scalar(mode, instance):
     for policy in _policies_for(mode):
         batch = simulate_many(
             policy, skills, k=k, alpha=3, mode=mode, rate=rate, seeds=seeds,
-            engine="vectorized", record_history=True,
+            record_history=True,
         )
         assert batch.engine == "vectorized"
         for i in range(skills.shape[0]):
@@ -106,8 +106,8 @@ def test_clique_ties_bit_identical_to_scalar_and_naive(instance):
     policy = DyGroupsClique()
     batch = simulate_many(
         policy, skills, k=k, alpha=3, mode="clique", rate=rate, seeds=seeds,
-        engine="vectorized",
     )
+    assert batch.engine == "vectorized"
     for i in range(skills.shape[0]):
         scalar = simulate(
             policy, skills[i], k=k, alpha=3, mode="clique", rate=rate, seed=seeds[i]

@@ -5,7 +5,10 @@ capabilities: build cleanly from a :class:`~repro.registry.PolicySpec`,
 be an instance of its declared ``builds`` types, replay bit-identically
 after ``reset()`` (the driver's per-run guarantee), and — for the
 ``vectorizable`` set — produce the same trajectory through ``simulate``,
-``simulate_many``, and a served cohort.
+``simulate_many``, and a served cohort.  The declared ``vectorizable``
+flag is the specification of :func:`repro.core.vectorized.vectorize_policy`'s
+dispatch: in every mode a policy runs in, the one holds exactly when the
+other yields a batched form.
 
 The completeness check is the refactor's enforcement backstop: a new
 ``GroupingPolicy`` subclass that is neither registered nor on the
@@ -23,7 +26,7 @@ import repro.baselines  # noqa: F401 - populate GroupingPolicy.__subclasses__
 import repro.extensions  # noqa: F401
 import repro.network  # noqa: F401
 from repro.core.simulation import GroupingPolicy, simulate
-from repro.core.vectorized import simulate_many
+from repro.core.vectorized import simulate_many, vectorize_policy
 from repro.registry import (
     CAPABILITIES,
     POLICY_NAMES,
@@ -34,7 +37,6 @@ from repro.registry import (
     policy_names,
     registered_policy_types,
     unregistered_policy_exemptions,
-    vectorizer_for,
 )
 from repro.serve.config import ServeConfig
 from repro.serve.service import GroupingService
@@ -43,6 +45,18 @@ from repro.serve.service import GroupingService
 def _mode_for(name: str) -> str:
     """The interaction mode a registered policy's objective assumes."""
     return "clique" if name == "dygroups-clique" else "star"
+
+
+def _runs_in(name: str, mode: str) -> bool:
+    """Whether ``name`` built for ``mode`` may run a simulation in it."""
+    required = getattr(build_policy(name, mode=mode), "required_mode", None)
+    return required is None or required == mode
+
+
+#: Every (registered name, mode) pair that runs.
+RUNNABLE = [
+    (name, mode) for name in POLICY_NAMES for mode in ("star", "clique") if _runs_in(name, mode)
+]
 
 
 def _all_subclasses(cls: type) -> set[type]:
@@ -145,7 +159,7 @@ class TestVectorizableBitIdentity:
         batch = simulate_many(
             build_policy(name, mode=mode, rate=0.5),
             np.stack([skills, skills]), k=3, alpha=4, mode=mode, rate=0.5,
-            seeds=[17, 17], engine="vectorized",
+            seeds=[17, 17],
         )
         assert batch.engine == "vectorized"
         for row in range(2):
@@ -161,13 +175,20 @@ class TestVectorizableBitIdentity:
 
     @pytest.mark.parametrize("name", VECTORIZABLE)
     def test_declared_vectorizer_resolves(self, name):
-        from repro.core.vectorized import vectorize_policy
-
         mode = _mode_for(name)
         policy = build_policy(name, mode=mode, rate=0.5)
         assert vectorize_policy(policy) is not None
-        if get_policy(name).vectorizer is not None:
-            assert vectorizer_for(policy) is not None
+
+    @pytest.mark.parametrize("name,mode", RUNNABLE)
+    def test_declared_flag_matches_the_dispatch(self, name, mode):
+        """``vectorizable`` holds exactly when the dispatch finds a batched form."""
+        policy = build_policy(name, mode=mode, rate=0.5)
+        assert (vectorize_policy(policy) is not None) == get_policy(name).vectorizable
+
+    def test_runnable_pairs(self):
+        """Only the Star-only fair-star policy sits out a mode."""
+        assert len(RUNNABLE) == 2 * len(POLICY_NAMES) - 1
+        assert ("fair-star", "clique") not in RUNNABLE
 
 
 class TestCompleteness:

@@ -31,6 +31,14 @@ def _tiny_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**defaults)
 
 
+def _individual_spec() -> ScenarioSpec:
+    return _tiny_spec(
+        arrival=ArrivalSpec(kind="individual", rate=500.0, concurrency=1),
+        population=PopulationSpec(n=6, k=3, cohorts=2, skill_seed=3),
+        slo=None,
+    )
+
+
 def _run(paradigm: str, groupings, *, requests=4, errors=0) -> ParadigmRun:
     return ParadigmRun(
         paradigm=paradigm,
@@ -79,6 +87,32 @@ class TestRunParadigm:
         assert "kernel_step" in run.stage_series()
 
 
+    @pytest.mark.parametrize("kind", ["closed-loop", "individual"])
+    def test_service_closes_when_the_server_cannot_bind(self, kind, monkeypatch):
+        from repro.scenarios import harness
+
+        services = []
+
+        class RecordingService(harness.GroupingService):
+            def __init__(self, config):
+                super().__init__(config)
+                services.append(self)
+
+        def refuse(service, **kwargs):
+            raise OSError("address already in use")
+
+        monkeypatch.setattr(harness, "GroupingService", RecordingService)
+        monkeypatch.setattr(harness, "start_server", refuse)
+        spec = _tiny_spec() if kind == "closed-loop" else _individual_spec()
+        with pytest.raises(OSError, match="address already in use"):
+            run_paradigm(spec, "http")
+        assert len(services) == 1 and services[0].closed
+
+    def test_individual_arrivals_refuse_the_cli_paradigm(self):
+        with pytest.raises(ValueError, match="does not support individual arrivals"):
+            run_paradigm(_individual_spec(), "cli")
+
+
 class TestCompareScenario:
     def test_inprocess_vs_http_bit_identical(self):
         comparison = compare_scenario(_tiny_spec(), paradigms=("inprocess", "http"))
@@ -86,6 +120,11 @@ class TestCompareScenario:
         assert comparison.passed
         assert set(comparison.reports) == {"inprocess", "http"}
         assert all(report.passed for report in comparison.reports.values())
+
+    def test_individual_arrivals_bit_identical_across_serve_paradigms(self):
+        comparison = compare_scenario(_individual_spec(), paradigms=("inprocess", "http"))
+        assert comparison.rounds_compared == 4
+        assert [run.load.errors for run in comparison.runs] == [0, 0]
 
     def test_cli_paradigm_matches_service(self):
         spec = _tiny_spec(population=PopulationSpec(n=6, k=3, cohorts=1, skill_seed=3))

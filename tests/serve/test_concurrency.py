@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import contracts
-from repro.baselines.registry import make_policy
 from repro.core.simulation import simulate
+from repro.registry import build_policy
 from repro.serve.config import ServeConfig
 from repro.serve.service import GroupingService
 
@@ -62,7 +62,7 @@ def test_one_cohort_hammered_from_many_threads(skills, mode):
             # rounds are serialized by the session lock, so 80 concurrent
             # advances equal one offline run of alpha=80.
             reference = simulate(
-                make_policy("dygroups", mode=mode, rate=0.5),
+                build_policy("dygroups", mode=mode, rate=0.5),
                 skills, k=5, alpha=total, mode=mode, rate=0.5, seed=21,
             )
             assert np.array_equal(np.array(payload["skills"]), reference.final_skills)

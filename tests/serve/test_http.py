@@ -17,9 +17,9 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.baselines.registry import make_policy
 from repro.core.simulation import simulate
 from repro.obs import runtime
+from repro.registry import build_policy
 from repro.serve import http as serve_http
 from repro.serve import (
     CohortNotFound,
@@ -126,7 +126,7 @@ class TestEndToEnd:
         final = np.array(client.get_cohort(info["cohort"])["skills"])
 
         reference = simulate(
-            make_policy("dygroups", mode="star", rate=0.5),
+            build_policy("dygroups", mode="star", rate=0.5),
             skills, k=10, alpha=8, mode="star", rate=0.5, seed=7,
         )
         assert result["rounds"] == 8

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.registry import make_policy
 from repro.core.simulation import simulate
 from repro.obs import runtime
+from repro.registry import build_policy
 from repro.serve.config import ServeConfig
 from repro.serve.errors import ServiceClosed
 from repro.serve.scheduler import BatchScheduler
@@ -87,7 +87,7 @@ class TestRoundPath:
             assert _kernel_calls() - calls == 2
             final = np.array(service.get_cohort(cohort)["skills"])
         reference = simulate(
-            make_policy(policy, mode="star", rate=0.5),
+            build_policy(policy, mode="star", rate=0.5),
             skills120, k=10, alpha=3, mode="star", rate=0.5, seed=4,
         )
         assert np.array_equal(final, reference.final_skills)
@@ -117,7 +117,7 @@ class TestRoundPath:
             played = service.advance_rounds(cohort, 3)["played"]
             final = np.array(service.get_cohort(cohort)["skills"])
         reference = simulate(
-            make_policy(policy, mode=mode, rate=0.5),
+            build_policy(policy, mode=mode, rate=0.5),
             skills120, k=10, alpha=3, mode=mode, rate=0.5, seed=2,
         )
         assert np.array_equal(final, reference.final_skills)

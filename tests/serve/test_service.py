@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.registry import make_policy
 from repro.core.simulation import simulate
 from repro.obs import runtime
+from repro.registry import build_policy
 from repro.serve.config import ServeConfig
 from repro.serve.errors import (
     CapacityExhausted,
@@ -104,7 +104,7 @@ class TestAdvance:
             result = svc.advance_rounds(info["cohort"], 6)
             final = np.array(svc.get_cohort(info["cohort"])["skills"])
         reference = simulate(
-            make_policy("dygroups", mode=mode, rate=0.5),
+            build_policy("dygroups", mode=mode, rate=0.5),
             np.asarray(skills), k=3, alpha=6, mode=mode, rate=0.5, seed=13,
         )
         assert np.array_equal(final, reference.final_skills)
@@ -116,7 +116,7 @@ class TestAdvance:
             svc.advance_rounds(info["cohort"], 4)
             final = np.array(svc.get_cohort(info["cohort"])["skills"])
         reference = simulate(
-            make_policy("random", mode="star", rate=0.5),
+            build_policy("random", mode="star", rate=0.5),
             np.asarray(skills), k=3, alpha=4, mode="star", rate=0.5, seed=3,
         )
         assert np.array_equal(final, reference.final_skills)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.registry import make_policy
 from repro.core.gain_functions import LinearGain
 from repro.core.interactions import get_mode
 from repro.core.simulation import simulate
+from repro.registry import build_policy
 from repro.serve.errors import CapacityExhausted, CohortNotFound, SessionExpired
 from repro.serve.sessions import CohortSession, SessionStore
 
@@ -17,7 +17,7 @@ def build_session(session_id: str, skills: np.ndarray, *, k: int = 3, mode: str 
                   rate: float = 0.5, seed: int = 0, record_history: bool = False) -> CohortSession:
     return CohortSession(
         session_id,
-        policy=make_policy("dygroups", mode=mode, rate=rate),
+        policy=build_policy("dygroups", mode=mode, rate=rate),
         policy_name="dygroups",
         mode=get_mode(mode),
         gain_fn=LinearGain(rate),
@@ -48,7 +48,7 @@ class TestCohortSession:
         for _ in range(5):
             session.advance_round()
         reference = simulate(
-            make_policy("dygroups", mode="star", rate=0.5),
+            build_policy("dygroups", mode="star", rate=0.5),
             skills, k=3, alpha=5, mode="star", rate=0.5, seed=11,
         )
         assert np.array_equal(session.skills, reference.final_skills)

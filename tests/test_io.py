@@ -75,15 +75,32 @@ class TestSeriesSetRoundTrip:
 class TestSpecRoundTrip:
     def test_spec_io_round_trip(self):
         spec = ExperimentSpec(
-            n=24, k=4, runs=2, algorithms=("dygroups",), engine="vectorized", workers=2
+            n=24, k=4, runs=2, algorithms=("dygroups",), engine="scalar", workers=2
         )
         payload = experiment_spec_to_dict(spec)
-        assert payload["engine"] == "vectorized" and payload["workers"] == 2
+        assert payload["engine"] == "scalar" and payload["workers"] == 2
         # Specs saved by earlier versions carry a "shards" count for an
         # engine path whose results were bit-identical to the vectorized
         # engine's; loading drops it.
         for saved in (payload, {**payload, "shards": 4}):
             assert experiment_spec_from_dict(saved) == spec
+
+    def test_removed_vectorized_engine_loads_as_auto(self):
+        # Earlier versions also saved a "vectorized" engine value, which
+        # ran the same stacked path "auto" picks (and raised otherwise).
+        spec = ExperimentSpec(n=24, k=4, runs=2, algorithms=("dygroups", "random"))
+        payload = experiment_spec_to_dict(spec)
+        legacy = experiment_spec_from_dict({**payload, "engine": "vectorized"})
+        assert legacy == spec and legacy.engine == "auto"
+        scalar = run_spec(spec.with_(engine="scalar"))
+        for name, outcome in run_spec(legacy).outcomes.items():
+            assert outcome.mean_total_gain == scalar.outcomes[name].mean_total_gain
+            assert outcome.mean_round_gains == scalar.outcomes[name].mean_round_gains
+
+    def test_unknown_engine_fails_to_load(self):
+        payload = experiment_spec_to_dict(ExperimentSpec(n=24, k=4, runs=2))
+        with pytest.raises(ValueError, match="unknown engine"):
+            experiment_spec_from_dict({**payload, "engine": "turbo"})
 
 
 class TestSpecOutcomeExport:
